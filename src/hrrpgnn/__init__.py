@@ -18,7 +18,6 @@ from .data import (
     normalize,
     save_class_specs,
     save_csv,
-    split,
     synth_generate,
     toy_two_class_specs,
 )
@@ -33,11 +32,8 @@ from .errors import (
 from .gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
 from .graphgen import (
     FactoredAdjacency,
-    HrrpGraph,
     HrrpSample,
     build_adjacency,
-    build_adjacency_batch,
-    build_graph,
     factored_adjacency_batch,
 )
 from .layers import (
@@ -87,7 +83,6 @@ __all__ = [
     "GraphClassifier",
     "GraphConv",
     "HrrpGnnError",
-    "HrrpGraph",
     "HrrpSample",
     "LeakyReLU",
     "MeanPool",
@@ -101,8 +96,6 @@ __all__ = [
     "UsageError",
     "ablation_table",
     "build_adjacency",
-    "build_adjacency_batch",
-    "build_graph",
     "check_all_ablations",
     "check_layer",
     "check_model",
@@ -121,7 +114,6 @@ __all__ = [
     "save_class_specs",
     "save_csv",
     "save_epoch_log",
-    "split",
     "synth_generate",
     "toy_two_class_specs",
     "train",

@@ -1,4 +1,4 @@
-"""Synthetic range-profile generation, dataset I/O, normalization, splits.
+"""Synthetic range-profile generation, dataset I/O, normalization.
 
 Real HRRP collections come from electromagnetic solvers or measured
 flights; neither is reproducible here. The stand-in is a point-scatterer
@@ -73,9 +73,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def class_indices(self, label: int) -> list[int]:
-        return [i for i, s in enumerate(self.samples) if s.label == label]
 
 
 def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
@@ -211,18 +208,24 @@ def load_csv(path) -> Dataset:
             )
         try:
             label = int(fields[0])
-            amps = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            # HrrpSample's own checks (finite amplitudes) raise ValueError subclasses
+            sample = HrrpSample(np.array([float(v) for v in fields[1:]], dtype=np.float64), label)
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if label < 0:
             raise DataFormatError(f"{path}: line {lineno}: negative label {label}")
-        samples.append(HrrpSample(amps, label))
+        samples.append(sample)
     if not samples:
         raise DataFormatError(f"{path}: no samples")
 
     manifest_file = _manifest_path(path)
     if manifest_file.exists():
-        manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{manifest_file}: invalid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
         n_classes = manifest.get("n_classes", max(s.label for s in samples) + 1)
         class_names = manifest.get("class_names", [f"class{i}" for i in range(n_classes)])
         extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}
@@ -231,53 +234,6 @@ def load_csv(path) -> Dataset:
         class_names = [f"class{i}" for i in range(n_classes)]
         extra = {"source": str(path)}
     return Dataset(samples, n_cells, n_classes, class_names, extra)
-
-
-def split(
-    dataset: Dataset, train_fraction: float, seed: int, stratified: bool = True
-) -> tuple[Dataset, Dataset]:
-    """Disjoint train/test partition; stratified keeps class shares within one sample."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    if stratified:
-        for label in range(dataset.n_classes):
-            idx = dataset.class_indices(label)
-            if len(idx) < 2:
-                raise ConfigError(
-                    f"class {label} has {len(idx)} sample(s); stratified split needs at least 2"
-                )
-            order = rng.permutation(len(idx))
-            n_train = int(round(train_fraction * len(idx)))
-            n_train = min(max(n_train, 1), len(idx) - 1)
-            train_idx.extend(idx[i] for i in order[:n_train])
-            test_idx.extend(idx[i] for i in order[n_train:])
-    else:
-        order = rng.permutation(len(dataset.samples))
-        n_train = int(round(train_fraction * len(dataset.samples)))
-        n_train = min(max(n_train, 1), len(dataset.samples) - 1)
-        train_idx = list(order[:n_train])
-        test_idx = list(order[n_train:])
-
-    def _subset(indices, role):
-        manifest = dict(dataset.manifest)
-        manifest["split"] = {
-            "role": role,
-            "train_fraction": train_fraction,
-            "seed": seed,
-            "stratified": stratified,
-        }
-        return Dataset(
-            [dataset.samples[i] for i in indices],
-            dataset.n_cells,
-            dataset.n_classes,
-            list(dataset.class_names),
-            manifest,
-        )
-
-    return _subset(train_idx, "train"), _subset(test_idx, "test")
 
 
 # -- class-spec serialization -------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphgen import build_adjacency_batch
+from .graphgen import factored_adjacency_batch
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -31,8 +31,8 @@ DEFAULT_STEP = 1e-4
 def check_layer(layer, x, seed: int = 0, step: float = DEFAULT_STEP, extra=None) -> dict:
     """Gradient-check one layer's parameters and input on a fixed projection.
 
-    ``extra`` carries non-differentiated forward arguments (the adjacency
-    stack for the graph convolution). Returns {tensor_name: max_rel_error}
+    ``extra`` carries a non-differentiated forward argument (the factored
+    adjacency for the graph convolution). Returns {tensor_name: max_rel_error}
     including an ``input`` entry.
     """
     rng = np.random.default_rng(seed)
@@ -74,9 +74,9 @@ def layer_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict:
 
     gconv = GraphConv(4, 5, n)
     gconv.init(rng)
-    amps = rng.uniform(0.2, 1.0, (batch, n))
+    adjacency = factored_adjacency_batch(rng.uniform(0.2, 1.0, (batch, n)))
     results["graphconv"] = check_layer(
-        gconv, rng.standard_normal((batch, 4, n)), seed + 4, step, extra=build_adjacency_batch(amps)
+        gconv, rng.standard_normal((batch, 4, n)), seed + 4, step, extra=adjacency
     )
 
     att = AttentionPool(5)

@@ -36,22 +36,6 @@ class HrrpSample:
             raise ConfigError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def n_cells(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-@dataclass(frozen=True)
-class HrrpGraph:
-    """Node-feature matrix (channels x N) plus the N x N edge-weight matrix."""
-
-    node_features: np.ndarray
-    adjacency: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_features.shape[1]
-
 
 def reciprocal_distance(n_cells: int) -> np.ndarray:
     """The N x N matrix of 1 / (|i - j| + 1) factors (index-unit distances)."""
@@ -71,33 +55,14 @@ def build_adjacency(amplitudes) -> np.ndarray:
     return np.outer(h, h) * reciprocal_distance(h.shape[0])
 
 
-def build_adjacency_batch(amplitudes: np.ndarray) -> np.ndarray:
-    """Adjacency matrices for a (batch x N) amplitude stack, shape (batch, N, N)."""
-    h = np.asarray(amplitudes, dtype=np.float64)
-    if h.ndim != 2:
-        raise ShapeError(f"expected (batch, N) amplitudes, got shape {h.shape}")
-    outer = h[:, :, None] * h[:, None, :]
-    return outer * reciprocal_distance(h.shape[1])[None, :, :]
-
-
-def build_graph(sample: HrrpSample) -> HrrpGraph:
-    """Graph for one sample: 1 x N amplitude row as node features, plus adjacency."""
-    return HrrpGraph(
-        node_features=sample.amplitudes[None, :].copy(),
-        adjacency=build_adjacency(sample.amplitudes),
-    )
-
-
 @dataclass(frozen=True)
 class FactoredAdjacency:
     """The adjacency stack in factored form: e[b, i, j] = h[b, i] r[i, j] h[b, j].
 
     The edge matrix is diag(h) R diag(h), so products against it never need
     the (batch, N, N) stack materialized; the whole batch shares the single
-    N x N reciprocal-distance matrix R, which is why this is much faster
-    than ``build_adjacency_batch`` for long profiles. ``dense()`` recovers
-    the explicit matrices and matches ``build_adjacency_batch`` exactly up
-    to multiplication order.
+    N x N reciprocal-distance matrix R. This is the form the network runs
+    on; ``build_adjacency`` is the per-sample definition it reproduces.
     """
 
     amplitudes: np.ndarray  # (batch, N)
@@ -110,9 +75,6 @@ class FactoredAdjacency:
     @property
     def n_nodes(self) -> int:
         return self.amplitudes.shape[1]
-
-    def dense(self) -> np.ndarray:
-        return build_adjacency_batch(self.amplitudes)
 
     def matmul_right(self, x3: np.ndarray) -> np.ndarray:
         """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h."""

@@ -7,9 +7,9 @@ arrays mirroring each parameter) and returns the gradient with respect to
 the layer input. Gradients are hand-derived from the forward semantics,
 not traced, and ``finite_diff_check`` is the oracle used to validate them.
 
-Layers accept a single sample (the 2-D shapes given in each docstring) or
-a stacked batch with a leading batch axis; the output and the backward
-gradient mirror whichever form the forward received.
+Layers take batches only: every input, output and gradient carries a
+leading batch axis in front of the per-sample shape given in each
+docstring, and an input of any other rank raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -24,21 +24,12 @@ from .numerics import softmax
 KERNEL_WIDTH = 3
 
 
-def _batched(x, ndim_single: int, what: str):
-    """Promote a single-sample array to batch form; report whether it was promoted."""
+def _batch(x, ndim: int, what: str) -> np.ndarray:
+    """``x`` as a float64 array of the batched rank ``ndim``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == ndim_single:
-        return x[None, ...], True
-    if x.ndim == ndim_single + 1:
-        return x, False
-    raise ShapeError(
-        f"{what}: expected {ndim_single}-D (single) or {ndim_single + 1}-D (batched) "
-        f"input, got ndim={x.ndim}"
-    )
-
-
-def _unbatched(y: np.ndarray, squeeze: bool) -> np.ndarray:
-    return y[0] if squeeze else y
+    if x.ndim != ndim:
+        raise ShapeError(f"{what}: expected a {ndim}-D batch, got ndim={x.ndim}")
+    return x
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -74,7 +65,7 @@ class Conv1d:
         yield f"{prefix}.bias", self.bias, self.g_bias
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x3, squeeze = _batched(x, 2, "conv1d")
+        x3 = _batch(x, 3, "conv1d")
         if x3.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv1d: input has {x3.shape[1]} channels, kernels expect {self.in_channels}"
@@ -86,14 +77,14 @@ class Conv1d:
         windows = sliding_window_view(xp, KERNEL_WIDTH, axis=2)  # (B, C, N, 3)
         y = np.einsum("ock,bcnk->bon", self.kernels, windows, optimize=True)
         y += self.bias[None, :, None]
-        self._cache = (windows, x3.shape, squeeze)
-        return _unbatched(y, squeeze)
+        self._cache = (windows, x3.shape)
+        return y
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("conv1d.backward called before forward")
-        windows, xshape, squeeze = self._cache
-        g3, _ = _batched(grad_out, 2, "conv1d grad")
+        windows, xshape = self._cache
+        g3 = _batch(grad_out, 3, "conv1d grad")
         # fill the slots in place: optimizers hold references to them
         self.g_kernels[...] = np.einsum("bon,bcnk->ock", g3, windows, optimize=True)
         self.g_bias[...] = g3.sum(axis=(0, 2))
@@ -103,7 +94,7 @@ class Conv1d:
             g_xp[:, :, k : k + n] += np.einsum(
                 "oc,bon->bcn", self.kernels[:, :, k], g3, optimize=True
             )
-        return _unbatched(g_xp[:, :, 1 : n + 1], squeeze)
+        return g_xp[:, :, 1 : n + 1]
 
 
 class BatchNorm1d:
@@ -147,7 +138,7 @@ class BatchNorm1d:
         yield f"{prefix}.beta", self.beta, self.g_beta
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x3, squeeze = _batched(x, 2, "batchnorm")
+        x3 = _batch(x, 3, "batchnorm")
         if x3.shape[1] != self.channels:
             raise ShapeError(
                 f"batchnorm: input has {x3.shape[1]} channels, layer expects {self.channels}"
@@ -168,33 +159,33 @@ class BatchNorm1d:
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x3 - mean[None, :, None]) * inv_std[None, :, None]
         y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
-        self._cache = (xhat, inv_std, training, x3.shape, squeeze)
-        return _unbatched(y, squeeze)
+        self._cache = (xhat, inv_std, training, x3.shape)
+        return y
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("batchnorm.backward called before forward")
-        xhat, inv_std, training, xshape, squeeze = self._cache
-        g3, _ = _batched(grad_out, 2, "batchnorm grad")
+        xhat, inv_std, training, xshape = self._cache
+        g3 = _batch(grad_out, 3, "batchnorm grad")
         self.g_gamma[...] = (g3 * xhat).sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
         scale = (self.gamma * inv_std)[None, :, None]
         if not training:
-            return _unbatched(g3 * scale, squeeze)
+            return g3 * scale
         m = xshape[0] * xshape[2]
         g_sum = g3.sum(axis=(0, 2), keepdims=True)
         gx_sum = (g3 * xhat).sum(axis=(0, 2), keepdims=True)
-        g_x = (scale / m) * (m * g3 - g_sum - xhat * gx_sum)
-        return _unbatched(g_x, squeeze)
+        return (scale / m) * (m * g3 - g_sum - xhat * gx_sum)
 
 
 class GraphConv:
     """Dense graph convolution: out column i = W1 x_i + W2 (sum_j e[j,i] x_j) + B[:, i].
 
     In matrix form ``W1 X + W2 (X E) + B`` where E is the (symmetric) edge
-    weight matrix. The bias is per-node (an out_dim x N matrix) by default;
-    ``per_node_bias=False`` switches to a single shared per-channel column
-    for node-count-agnostic experiments.
+    weight matrix, passed as a ``FactoredAdjacency`` so that ``X E`` never
+    builds the dense (batch, N, N) stack. The bias is per-node (an
+    out_dim x N matrix) by default; ``per_node_bias=False`` switches to a
+    single shared per-channel column for node-count-agnostic experiments.
     """
 
     def __init__(self, in_dim: int, out_dim: int, n_nodes: int, per_node_bias: bool = True):
@@ -220,28 +211,12 @@ class GraphConv:
         yield f"{prefix}.w2", self.w2, self.g_w2
         yield f"{prefix}.bias", self.bias, self.g_bias
 
-    def forward(self, nodes, adjacency, training: bool = False) -> np.ndarray:
-        x3, squeeze = _batched(nodes, 2, "graphconv nodes")
+    def forward(self, nodes, adjacency: FactoredAdjacency, training: bool = False) -> np.ndarray:
+        x3 = _batch(nodes, 3, "graphconv nodes")
         if x3.shape[1] != self.in_dim:
             raise ShapeError(f"graphconv: input has {x3.shape[1]} channels, expected {self.in_dim}")
         n = x3.shape[2]
-        if isinstance(adjacency, FactoredAdjacency):
-            # same operator, applied as ((X * h) @ R) * h without the dense stack
-            if squeeze:
-                raise ShapeError("graphconv: factored adjacency requires batched nodes")
-            agg = adjacency.matmul_right(x3)
-            adj3 = adjacency
-        else:
-            adj3, adj_squeezed = _batched(adjacency, 2, "graphconv adjacency")
-            if adj_squeezed != squeeze:
-                raise ShapeError(
-                    "graphconv: nodes and adjacency must both be single or both batched"
-                )
-            if adj3.shape[1:] != (n, n) or adj3.shape[0] != x3.shape[0]:
-                raise ShapeError(
-                    f"graphconv: adjacency shape {adj3.shape} does not match nodes shape {x3.shape}"
-                )
-            agg = x3 @ adj3  # agg[b, d, i] = sum_j x[b, d, j] * e[j, i]
+        agg = adjacency.matmul_right(x3)  # agg[b, d, i] = sum_j x[b, d, j] * e[b, j, i]
         if self.per_node_bias and n != self.bias.shape[1]:
             raise ShapeError(
                 f"graphconv: per-node bias covers {self.bias.shape[1]} nodes, input has {n}"
@@ -249,14 +224,14 @@ class GraphConv:
         y = np.matmul(self.w1, x3)
         y += np.matmul(self.w2, agg)
         y += self.bias[None, :, :]
-        self._cache = (x3, adj3, agg, squeeze)
-        return _unbatched(y, squeeze)
+        self._cache = (x3, adjacency, agg)
+        return y
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("graphconv.backward called before forward")
-        x3, adj3, agg, squeeze = self._cache
-        g3, _ = _batched(grad_out, 2, "graphconv grad")
+        x3, adjacency, agg = self._cache
+        g3 = _batch(grad_out, 3, "graphconv grad")
         self.g_w1[...] = np.einsum("bgn,bdn->gd", g3, x3, optimize=True)
         self.g_w2[...] = np.einsum("bgn,bdn->gd", g3, agg, optimize=True)
         if self.per_node_bias:
@@ -264,13 +239,9 @@ class GraphConv:
         else:
             self.g_bias[...] = g3.sum(axis=(0, 2))[:, None]
         g_x = np.matmul(self.w1.T, g3)
-        w2_g = np.matmul(self.w2.T, g3)
-        if isinstance(adj3, FactoredAdjacency):
-            # E is symmetric, so G @ E^T is the same factored product
-            g_x += adj3.matmul_right(w2_g)
-        else:
-            g_x += w2_g @ adj3.transpose(0, 2, 1)
-        return _unbatched(g_x, squeeze)
+        # E is symmetric, so G @ E^T is the same factored product
+        g_x += adjacency.matmul_right(np.matmul(self.w2.T, g3))
+        return g_x
 
 
 class AttentionPool:
@@ -299,7 +270,7 @@ class AttentionPool:
         yield f"{prefix}.b", self.b, self.g_b
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
-        x3, squeeze = _batched(nodes, 2, "attention")
+        x3 = _batch(nodes, 3, "attention")
         if x3.shape[1] != self.feature_dim:
             raise ShapeError(
                 f"attention: input has {x3.shape[1]} features, layer expects {self.feature_dim}"
@@ -307,28 +278,26 @@ class AttentionPool:
         scores = np.einsum("bfn,f->bn", x3, self.w, optimize=True) + self.b[0]
         alpha = softmax(scores, axis=1)
         pooled = np.einsum("bfn,bn->bf", x3, alpha, optimize=True)
-        self._cache = (x3, alpha, squeeze)
-        return _unbatched(pooled, squeeze)
+        self._cache = (x3, alpha)
+        return pooled
 
     def attention_weights(self) -> np.ndarray:
         """Softmax weights from the most recent forward call."""
         if self._cache is None:
             raise UsageError("attention_weights requested before forward")
-        x3, alpha, squeeze = self._cache
-        return _unbatched(alpha, squeeze)
+        return self._cache[1]
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("attention.backward called before forward")
-        x3, alpha, squeeze = self._cache
-        g2, _ = _batched(grad_out, 1, "attention grad")
+        x3, alpha = self._cache
+        g2 = _batch(grad_out, 2, "attention grad")
         u = np.einsum("bfn,bf->bn", x3, g2, optimize=True)  # dL/dalpha
         # softmax Jacobian: dL/ds_i = alpha_i * (u_i - sum_j alpha_j u_j)
         g_s = alpha * (u - (alpha * u).sum(axis=1, keepdims=True))
         self.g_w[...] = np.einsum("bfn,bn->f", x3, g_s, optimize=True)
         self.g_b[...] = g_s.sum()
-        g_x = g2[:, :, None] * alpha[:, None, :] + self.w[None, :, None] * g_s[:, None, :]
-        return _unbatched(g_x, squeeze)
+        return g2[:, :, None] * alpha[:, None, :] + self.w[None, :, None] * g_s[:, None, :]
 
 
 class MeanPool:
@@ -341,17 +310,16 @@ class MeanPool:
         return iter(())
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
-        x3, squeeze = _batched(nodes, 2, "meanpool")
-        self._cache = (x3.shape, squeeze)
-        return _unbatched(x3.mean(axis=2), squeeze)
+        x3 = _batch(nodes, 3, "meanpool")
+        self._cache = x3.shape
+        return x3.mean(axis=2)
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("meanpool.backward called before forward")
-        xshape, squeeze = self._cache
-        g2, _ = _batched(grad_out, 1, "meanpool grad")
-        g_x = np.broadcast_to(g2[:, :, None] / xshape[2], xshape).copy()
-        return _unbatched(g_x, squeeze)
+        xshape = self._cache
+        g2 = _batch(grad_out, 2, "meanpool grad")
+        return np.broadcast_to(g2[:, :, None] / xshape[2], xshape).copy()
 
 
 class Dense:
@@ -375,21 +343,19 @@ class Dense:
         yield f"{prefix}.b", self.b, self.g_b
 
     def forward(self, v, training: bool = False) -> np.ndarray:
-        v2, squeeze = _batched(v, 1, "dense")
+        v2 = _batch(v, 2, "dense")
         if v2.shape[1] != self.in_dim:
             raise ShapeError(f"dense: input has {v2.shape[1]} features, layer expects {self.in_dim}")
-        y = v2 @ self.w.T + self.b[None, :]
-        self._cache = (v2, squeeze)
-        return _unbatched(y, squeeze)
+        self._cache = v2
+        return v2 @ self.w.T + self.b[None, :]
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("dense.backward called before forward")
-        v2, squeeze = self._cache
-        g2, _ = _batched(grad_out, 1, "dense grad")
-        self.g_w[...] = g2.T @ v2
+        g2 = _batch(grad_out, 2, "dense grad")
+        self.g_w[...] = g2.T @ self._cache
         self.g_b[...] = g2.sum(axis=0)
-        return _unbatched(g2 @ self.w, squeeze)
+        return g2 @ self.w
 
 
 class LeakyReLU:

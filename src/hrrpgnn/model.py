@@ -20,12 +20,12 @@ enabled stage produces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
-from .graphgen import HrrpSample, factored_adjacency_batch
+from .graphgen import factored_adjacency_batch
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -225,11 +225,6 @@ class GraphClassifier:
         self._batch_size = amps.shape[0]
         return log_softmax(logits, axis=1)
 
-    def forward_sample(self, sample, training: bool = False) -> np.ndarray:
-        """Log class probabilities for one sample (HrrpSample or amplitude vector)."""
-        amps = sample.amplitudes if isinstance(sample, HrrpSample) else np.asarray(sample)
-        return self.forward_batch(amps[None, :], training)[0]
-
     def backward(self, labels: np.ndarray) -> None:
         """Fill gradient slots with d(mean NLL)/d(params) for the cached forward."""
         if self._logits is None:
@@ -266,21 +261,12 @@ class GraphClassifier:
         self._check_labels(labels)
         return float(-log_probs[np.arange(labels.shape[0]), labels].mean())
 
-    def loss_sample(self, log_probs: np.ndarray, label: int) -> float:
-        if not 0 <= label < self.config.n_classes:
-            raise UsageError(f"label {label} out of range [0, {self.config.n_classes})")
-        return float(-log_probs[label])
-
     # -- inference -------------------------------------------------------
 
     def predict_batch(self, amplitudes: np.ndarray) -> np.ndarray:
         """Class indices (eval mode); ties resolve to the lowest index."""
         log_probs = self.forward_batch(amplitudes, training=False)
         return np.argmax(log_probs, axis=1)
-
-    def predict(self, sample) -> int:
-        amps = sample.amplitudes if isinstance(sample, HrrpSample) else np.asarray(sample)
-        return int(self.predict_batch(amps[None, :])[0])
 
     # -- checkpointing ----------------------------------------------------
 
@@ -312,6 +298,9 @@ class GraphClassifier:
             found = repr(payload.get("format")) if isinstance(payload, dict) else type(payload).__name__
             raise DataFormatError(f"{path} is not a model checkpoint (format={found})")
         try:
+            unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
+            if unknown:
+                raise DataFormatError(f"checkpoint {path} has unknown config fields {unknown}")
             model = cls(ModelConfig.from_dict(payload["config"]))
             stored = payload["tensors"]
             step = int(payload["step"])
@@ -322,12 +311,22 @@ class GraphClassifier:
         if missing:
             raise DataFormatError(f"checkpoint {path} is missing tensors: {missing}")
         for name, arr in state.items():
-            entry = stored[name]
-            if tuple(entry["shape"]) != arr.shape:
+            try:
+                shape = tuple(stored[name]["shape"])
+                data = np.array(stored[name]["data"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"checkpoint tensor {name} is malformed: {exc}") from exc
+            if shape != arr.shape:
                 raise DataFormatError(
-                    f"checkpoint tensor {name} has shape {entry['shape']}, expected {list(arr.shape)}"
+                    f"checkpoint tensor {name} has shape {list(shape)}, expected {list(arr.shape)}"
                 )
-            arr[...] = np.array(entry["data"], dtype=np.float64).reshape(arr.shape)
+            if data.size != arr.size:
+                raise DataFormatError(
+                    f"checkpoint tensor {name} has {data.size} values, its shape needs {arr.size}"
+                )
+            if not np.all(np.isfinite(data)):
+                raise DataFormatError(f"checkpoint tensor {name} has non-finite values")
+            arr[...] = data.reshape(arr.shape)
         model.step_count = step
         return model
 

@@ -1,6 +1,6 @@
-"""Dense-matrix arithmetic and numerically stable nonlinear primitives.
+"""Numerically stable softmax and log-softmax.
 
-The matrix carrier throughout the package is a row-major (C-order)
+The array carrier throughout the package is a row-major (C-order)
 ``numpy.ndarray`` of ``float64``. Every function here is a pure function of
 its inputs; gradient checks elsewhere rely on the ~1e-4 relative tolerances
 that only double precision delivers, so inputs are always promoted to
@@ -11,32 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"matrix must have at least one row and column, got {m.shape}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays.
-
-    Raises ShapeError naming both shapes when the inner dimensions differ.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply ({a.shape[0]}x{a.shape[1]}) by ({b.shape[0]}x{b.shape[1]}): "
-            f"inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-    return a @ b
+from .errors import NumericError
 
 
 def _check_finite(v: np.ndarray, what: str) -> None:
@@ -62,11 +37,3 @@ def log_softmax(v, axis: int = -1) -> np.ndarray:
     _check_finite(v, "log_softmax")
     shifted = v - np.max(v, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def leaky_relu(x, slope: float) -> np.ndarray:
-    """Elementwise x if x >= 0 else slope * x."""
-    if not 0.0 < slope < 1.0:
-        raise ConfigError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, slope * x)

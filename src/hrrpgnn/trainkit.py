@@ -108,6 +108,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator, shuffle: bool):
     return batches
 
 
+def _checked_arrays(model: GraphClassifier, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's amplitude matrix and labels, after checking they fit the model."""
+    if dataset.n_cells != model.config.n_cells:
+        raise ConfigError(
+            f"dataset has {dataset.n_cells} cells, model expects {model.config.n_cells}"
+        )
+    labels = dataset.labels()
+    if labels.max() >= model.config.n_classes:
+        raise ConfigError(
+            f"dataset labels reach {labels.max()}, model has {model.config.n_classes} classes"
+        )
+    return dataset.amplitude_matrix(), labels
+
+
 def dataset_loss(model: GraphClassifier, dataset: Dataset, chunk_size: int = 256) -> float:
     """Eval-mode mean cross-entropy over a dataset."""
     amps = dataset.amplitude_matrix()
@@ -137,18 +151,9 @@ def train(
     ``epoch_callback`` receives each row as it is logged; returning a
     truthy value stops training after that epoch.
     """
-    if dataset.n_cells != model.config.n_cells:
-        raise ConfigError(
-            f"dataset has {dataset.n_cells} cells, model expects {model.config.n_cells}"
-        )
     if len(dataset) < 2:
         raise ConfigError(f"training needs at least 2 samples, got {len(dataset)}")
-    amps = dataset.amplitude_matrix()
-    labels = dataset.labels()
-    if labels.max() >= model.config.n_classes:
-        raise ConfigError(
-            f"dataset labels reach {labels.max()}, model has {model.config.n_classes} classes"
-        )
+    amps, labels = _checked_arrays(model, dataset)
 
     def val_columns(row):
         if val_dataset is not None:
@@ -289,12 +294,7 @@ def metrics_from_confusion(conf: np.ndarray, class_names=None) -> Metrics:
 
 def evaluate(model: GraphClassifier, dataset: Dataset, chunk_size: int = 256) -> Metrics:
     """Eval-mode accuracy/confusion metrics over a dataset."""
-    if dataset.n_cells != model.config.n_cells:
-        raise ConfigError(
-            f"dataset has {dataset.n_cells} cells, model expects {model.config.n_cells}"
-        )
-    amps = dataset.amplitude_matrix()
-    labels = dataset.labels()
+    amps, labels = _checked_arrays(model, dataset)
     preds = np.concatenate(
         [model.predict_batch(amps[i : i + chunk_size]) for i in range(0, len(dataset), chunk_size)]
     )

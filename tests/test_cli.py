@@ -166,3 +166,69 @@ def test_val_data_fills_log_columns(gen_dir, tmp_path):
     last = (out / "epoch_log.csv").read_text(encoding="utf-8").splitlines()[-1]
     fields = last.split(",")
     assert fields[2] != "" and fields[3] != ""
+
+
+# ---- malformed inputs: exit code and one-line error -------------------------------
+
+
+def _corrupt_checkpoint(edit):
+    def make(trained, tmp_path):
+        payload = json.loads(trained.read_text(encoding="utf-8"))
+        edit(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    return make
+
+
+def _csv(rows, manifest=None):
+    def make(tmp_path):
+        path = tmp_path / "data.csv"
+        header = "label," + ",".join(f"h_{i}" for i in range(16))
+        lines = [header] + [f"{label}," + ",".join([value] * 16) for label, value in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if manifest is not None:
+            (tmp_path / "data.manifest.json").write_text(manifest, encoding="utf-8")
+        return path
+
+    return make
+
+
+# (checkpoint maker or None for the trained one, CSV maker or None for test.csv,
+#  exit code, text the error line must contain)
+MALFORMED = {
+    "short-tensor-data": (
+        _corrupt_checkpoint(lambda p: p["tensors"]["fc.w"]["data"].pop()), None, 3, "fc.w"),
+    "non-numeric-tensor-data": (
+        _corrupt_checkpoint(lambda p: p["tensors"]["fc.w"].update(data="abc")), None, 3, "fc.w"),
+    "unknown-config-key": (
+        _corrupt_checkpoint(lambda p: p["config"].update(bogus=1)), None, 3,
+        "unknown config fields ['bogus']"),
+    "nan-in-checkpoint": (
+        _corrupt_checkpoint(lambda p: p["tensors"]["fc.b"]["data"].__setitem__(0, float("nan"))),
+        None, 3, "fc.b"),
+    "3-class-csv-on-2-class-checkpoint": (
+        None, _csv([(0, "0.5"), (1, "0.5"), (2, "0.5")]), 2, "2 classes"),
+    "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
+    "bad-manifest-json": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest="{not json"), 3, "data.manifest.json"),
+    "manifest-not-an-object": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest="[1, 2]"), 3, "data.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_codes(case, gen_dir, run_dir, tmp_path, capsys):
+    make_checkpoint, make_csv, code, expected = MALFORMED[case]
+    checkpoint = run_dir / "model.json"
+    if make_checkpoint is not None:
+        checkpoint = make_checkpoint(checkpoint, tmp_path)
+    data = gen_dir / "test.csv" if make_csv is None else make_csv(tmp_path)
+    capsys.readouterr()
+    rc = run("eval", "--data", str(data), "--checkpoint", str(checkpoint))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert expected in err

@@ -15,7 +15,6 @@ from hrrpgnn.data import (
     perturb_specs,
     save_class_specs,
     save_csv,
-    split,
     synth_generate,
     toy_two_class_specs,
 )
@@ -153,46 +152,13 @@ def test_load_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("label,h_0,h_1\n0,1.0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 2"):
         load_csv(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"label,h_0,h_1\n0,1.0,2.0\n1,{value},2.0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: amplitudes must be finite"):
+            load_csv(path)
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_csv(path)
-
-
-# ---- splitting --------------------------------------------------------------------
-
-
-def test_split_fractions():
-    ds = synth_generate(default_three_class_specs(32), per_class=300, n_cells=32, seed=0)
-    train, test = split(ds, 2.0 / 3.0, seed=0)
-    assert len(train) == 600 and len(test) == 300
-    # stratified: every class keeps its share
-    for label in range(3):
-        assert len(train.class_indices(label)) == 200
-        assert len(test.class_indices(label)) == 100
-
-
-def test_split_disjoint_and_complete():
-    ds = synth_generate(two_specs(), per_class=10, n_cells=8, seed=0)
-    train, test = split(ds, 0.7, seed=1)
-    all_amps = np.concatenate([train.amplitude_matrix(), test.amplitude_matrix()])
-    assert all_amps.shape[0] == len(ds)
-    combined = {tuple(row) for row in all_amps}
-    original = {tuple(row) for row in ds.amplitude_matrix()}
-    assert combined == original
-
-
-def test_split_never_empties_a_side():
-    ds = synth_generate(two_specs(), per_class=2, n_cells=8, seed=0)
-    train, test = split(ds, 0.99, seed=0)
-    assert len(train.class_indices(0)) == 1 and len(test.class_indices(0)) == 1
-
-
-def test_split_validation():
-    ds = synth_generate(two_specs(), per_class=3, n_cells=8, seed=0)
-    with pytest.raises(ConfigError):
-        split(ds, 1.0, seed=0)
-    with pytest.raises(ConfigError):
-        split(ds, 0.0, seed=0)
 
 
 # ---- class specs -------------------------------------------------------------------

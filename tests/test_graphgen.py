@@ -3,14 +3,16 @@ import pytest
 
 from hrrpgnn.errors import ShapeError
 from hrrpgnn.graphgen import (
-    FactoredAdjacency,
     HrrpSample,
     build_adjacency,
-    build_adjacency_batch,
-    build_graph,
     factored_adjacency_batch,
     reciprocal_distance,
 )
+
+
+def dense_stack(h):
+    """The per-sample definition, stacked: the reference for the factored form."""
+    return np.stack([build_adjacency(row) for row in h])
 
 
 def test_adjacency_worked_example():
@@ -63,23 +65,19 @@ def test_adjacency_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         build_adjacency(np.zeros(0))
     with pytest.raises(ShapeError):
-        build_adjacency_batch(np.zeros(5))
+        factored_adjacency_batch(np.zeros(5))
 
 
 def test_batch_adjacency_matches_per_sample(rng):
+    """Each sample of a batch gets its own operator: no mixing across the batch axis."""
     h = rng.normal(size=(4, 11))
-    batch = build_adjacency_batch(h)
-    assert batch.shape == (4, 11, 11)
+    x = rng.normal(size=(4, 3, 11))
+    batch = factored_adjacency_batch(h).matmul_right(x)
+    assert batch.shape == (4, 3, 11)
     for b in range(4):
-        np.testing.assert_allclose(batch[b], build_adjacency(h[b]), rtol=0, atol=1e-15)
-
-
-def test_build_graph_carries_features_and_adjacency():
-    s = HrrpSample(np.array([0.5, 1.0, 2.0]), label=1)
-    g = build_graph(s)
-    assert g.n_nodes == 3
-    np.testing.assert_array_equal(g.node_features, [[0.5, 1.0, 2.0]])
-    np.testing.assert_array_equal(g.adjacency, build_adjacency(s.amplitudes))
+        alone = factored_adjacency_batch(h[b : b + 1]).matmul_right(x[b : b + 1])[0]
+        np.testing.assert_array_equal(batch[b], alone)
+        np.testing.assert_allclose(batch[b], x[b] @ build_adjacency(h[b]), rtol=1e-12, atol=1e-12)
 
 
 def test_sample_validation():
@@ -88,9 +86,11 @@ def test_sample_validation():
 
 
 def test_factored_dense_matches_batch(rng):
+    """I @ E recovers each explicit edge matrix from the factored form."""
     h = rng.uniform(0.0, 2.0, size=(3, 9))
     fac = factored_adjacency_batch(h)
-    np.testing.assert_allclose(fac.dense(), build_adjacency_batch(h), rtol=0, atol=1e-15)
+    eye = np.broadcast_to(np.eye(9), (3, 9, 9))
+    np.testing.assert_allclose(fac.matmul_right(eye), dense_stack(h), rtol=0, atol=1e-15)
     assert fac.batch_size == 3 and fac.n_nodes == 9
 
 
@@ -98,7 +98,7 @@ def test_factored_matmul_right_matches_dense_product(rng):
     h = rng.uniform(0.0, 2.0, size=(3, 9))
     x = rng.normal(size=(3, 5, 9))
     fac = factored_adjacency_batch(h)
-    expected = x @ build_adjacency_batch(h)
+    expected = x @ dense_stack(h)
     np.testing.assert_allclose(fac.matmul_right(x), expected, rtol=1e-12, atol=1e-12)
 
 

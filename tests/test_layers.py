@@ -24,27 +24,27 @@ def test_conv_worked_example():
     # single channel [1,2,3,4] against taps [1,0,-1], zero pads at both ends
     conv = Conv1d(1, 1)
     conv.kernels[0, 0] = [1.0, 0.0, -1.0]
-    out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    np.testing.assert_allclose(out, [[-2.0, -2.0, -2.0, 3.0]], atol=1e-15)
+    out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
+    np.testing.assert_allclose(out, [[[-2.0, -2.0, -2.0, 3.0]]], atol=1e-15)
 
 
 def test_conv_preserves_length(rng):
     conv = Conv1d(2, 5)
     conv.init(rng)
-    out = conv.forward(rng.normal(size=(2, 33)))
-    assert out.shape == (5, 33)
+    out = conv.forward(rng.normal(size=(1, 2, 33)))
+    assert out.shape == (1, 5, 33)
 
 
 def test_conv_needs_kernel_width_positions():
     conv = Conv1d(1, 1)
     with pytest.raises(ShapeError):
-        conv.forward(np.zeros((1, 2)))
+        conv.forward(np.zeros((1, 1, 2)))
 
 
 def test_conv_channel_mismatch():
     conv = Conv1d(2, 1)
     with pytest.raises(ShapeError):
-        conv.forward(np.zeros((3, 8)))
+        conv.forward(np.zeros((1, 3, 8)))
 
 
 def test_batchnorm_worked_example():
@@ -67,8 +67,8 @@ def test_batchnorm_eval_uses_running_stats():
     bn = BatchNorm1d(1)
     bn.running_mean[...] = 5.0
     bn.running_var[...] = 4.0
-    out = bn.forward(np.array([[7.0]]), training=False)
-    np.testing.assert_allclose(out, [[2.0 / math.sqrt(4.0 + 1e-5)]], atol=1e-12)
+    out = bn.forward(np.array([[[7.0]]]), training=False)
+    np.testing.assert_allclose(out, [[[2.0 / math.sqrt(4.0 + 1e-5)]]], atol=1e-12)
 
 
 def test_batchnorm_training_rejects_single_sample():
@@ -88,58 +88,63 @@ def test_graphconv_worked_example():
     gc = GraphConv(1, 1, 2)
     gc.w1[...] = [[2.0]]
     gc.w2[...] = [[1.0]]
-    out = gc.forward(np.array([[1.0, 3.0]]), build_adjacency([1.0, 3.0]))
-    np.testing.assert_allclose(out, [[7.5, 34.5]], atol=1e-12)
+    out = gc.forward(np.array([[[1.0, 3.0]]]), factored_adjacency_batch([[1.0, 3.0]]))
+    np.testing.assert_allclose(out, [[[7.5, 34.5]]], atol=1e-12)
 
 
 def test_graphconv_factored_matches_dense(rng):
+    """Forward and backward agree with the same layer written on the dense e[i, j] stack."""
     gc = GraphConv(3, 4, 10)
     gc.init(rng)
     gc.bias[...] = rng.normal(size=gc.bias.shape)
     amps = rng.uniform(0.0, 2.0, size=(5, 10))
     x = rng.normal(size=(5, 3, 10))
-    dense_out = gc.forward(x, np.stack([build_adjacency(a) for a in amps]))
-    fact_out = gc.forward(x, factored_adjacency_batch(amps))
-    np.testing.assert_allclose(fact_out, dense_out, rtol=1e-12, atol=1e-12)
+    dense = np.stack([build_adjacency(a) for a in amps])
+    out = gc.forward(x, factored_adjacency_batch(amps))
+    expected = gc.w1 @ x + gc.w2 @ (x @ dense) + gc.bias
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
-    g = rng.normal(size=dense_out.shape)
-    gc.forward(x, np.stack([build_adjacency(a) for a in amps]))
-    gx_dense = gc.backward(g).copy()
-    gw2_dense = gc.g_w2.copy()
-    gc.forward(x, factored_adjacency_batch(amps))
-    gx_fact = gc.backward(g)
-    np.testing.assert_allclose(gx_fact, gx_dense, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gc.g_w2, gw2_dense, rtol=1e-12, atol=1e-12)
+    g = rng.normal(size=out.shape)
+    gx = gc.backward(g)
+    expected_gx = gc.w1.T @ g + (gc.w2.T @ g) @ dense.transpose(0, 2, 1)
+    np.testing.assert_allclose(gx, expected_gx, rtol=1e-12, atol=1e-12)
+    expected_gw2 = np.einsum("bgn,bdn->gd", g, x @ dense)
+    np.testing.assert_allclose(gc.g_w2, expected_gw2, rtol=1e-12, atol=1e-12)
 
 
 def test_graphconv_shape_mismatches(rng):
     gc = GraphConv(1, 2, 4)
     with pytest.raises(ShapeError):
-        gc.forward(np.zeros((1, 4)), np.zeros((3, 3)))
-    with pytest.raises(ShapeError):
-        gc.forward(np.zeros((2, 1, 4)), np.zeros((4, 4)))
-    with pytest.raises(ShapeError):
-        # factored adjacency is a batch construct
+        # nodes must be batched
         gc.forward(np.zeros((1, 4)), factored_adjacency_batch(np.ones((1, 4))))
     with pytest.raises(ShapeError):
+        gc.forward(np.zeros((1, 2, 4)), factored_adjacency_batch(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        # adjacency covers a different batch
+        gc.forward(np.zeros((2, 1, 4)), factored_adjacency_batch(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        # adjacency covers a different node count
+        gc.forward(np.zeros((1, 1, 4)), factored_adjacency_batch(np.ones((1, 3))))
+    with pytest.raises(ShapeError):
         # per-node bias pins the node count
-        gc.forward(np.zeros((1, 5)), np.zeros((5, 5)))
+        gc.forward(np.zeros((1, 1, 5)), factored_adjacency_batch(np.ones((1, 5))))
 
 
 def test_graphconv_shared_bias_broadcasts(rng):
     gc = GraphConv(1, 2, 4, per_node_bias=False)
     assert gc.bias.shape == (2, 1)
     gc.bias[...] = [[1.0], [2.0]]
-    out = gc.forward(np.zeros((1, 7)), np.zeros((7, 7)))  # node count free
-    np.testing.assert_array_equal(out, [[1.0] * 7, [2.0] * 7])
+    # the node count is free: 7 nodes against a layer built for 4
+    out = gc.forward(np.zeros((1, 1, 7)), factored_adjacency_batch(np.zeros((1, 7))))
+    np.testing.assert_array_equal(out, [[[1.0] * 7, [2.0] * 7]])
 
 
 def test_attention_worked_example():
     att = AttentionPool(1)
     att.w[...] = math.log(3.0)
-    out = att.forward(np.array([[1.0, 3.0]]))
-    np.testing.assert_allclose(att.attention_weights(), [0.1, 0.9], atol=1e-12)
-    np.testing.assert_allclose(out, [2.8], atol=1e-12)
+    out = att.forward(np.array([[[1.0, 3.0]]]))
+    np.testing.assert_allclose(att.attention_weights(), [[0.1, 0.9]], atol=1e-12)
+    np.testing.assert_allclose(out, [[2.8]], atol=1e-12)
 
 
 def test_attention_weights_sum_to_one(rng):
@@ -168,7 +173,7 @@ def test_dense_worked_example():
     fc = Dense(2, 2)
     fc.w[...] = [[1.0, 1.0], [0.0, 2.0]]
     fc.b[...] = [0.0, 1.0]
-    np.testing.assert_array_equal(fc.forward(np.array([3.0, 4.0])), [7.0, 9.0])
+    np.testing.assert_array_equal(fc.forward(np.array([[3.0, 4.0]])), [[7.0, 9.0]])
 
 
 def test_leaky_relu_layer_roundtrip(rng):
@@ -180,17 +185,34 @@ def test_leaky_relu_layer_roundtrip(rng):
     np.testing.assert_array_equal(act.backward(g), np.where(x >= 0, g, 0.25 * g))
 
 
+def test_leaky_relu_values():
+    out = LeakyReLU(0.1).forward([-2.0, 0.0, 3.0])
+    np.testing.assert_array_equal(out, [-0.2, 0.0, 3.0])
+
+
+def test_leaky_relu_slope_bounds():
+    with pytest.raises(ConfigError):
+        LeakyReLU(0.0)
+    with pytest.raises(ConfigError):
+        LeakyReLU(1.0)
+
+
 # ---- batching, caching, gradient slots ----------------------------------------
 
 
-def test_single_and_batched_forward_agree(rng):
-    conv = Conv1d(2, 3)
-    conv.init(rng)
-    x = rng.normal(size=(2, 9))
-    single = conv.forward(x)
-    batched = conv.forward(x[None])
-    assert single.shape == (3, 9) and batched.shape == (1, 3, 9)
-    np.testing.assert_array_equal(single, batched[0])
+def test_layers_reject_unbatched_input():
+    """Layers run on batches only; a single unbatched sample is a ShapeError."""
+    cases = [
+        (Conv1d(1, 1), (np.zeros((1, 4)),)),
+        (BatchNorm1d(1), (np.zeros((1, 4)),)),
+        (GraphConv(1, 1, 4), (np.zeros((1, 4)), factored_adjacency_batch(np.ones((1, 4))))),
+        (AttentionPool(1), (np.zeros((1, 4)),)),
+        (MeanPool(), (np.zeros((1, 4)),)),
+        (Dense(1, 1), (np.zeros(1),)),
+    ]
+    for layer, args in cases:
+        with pytest.raises(ShapeError, match="batch"):
+            layer.forward(*args)
 
 
 def test_backward_before_forward_raises():

@@ -83,14 +83,6 @@ def test_forward_all_ablations_run(rng):
         assert np.all(np.isfinite(lp))
 
 
-def test_forward_sample_matches_batch(rng):
-    model = GraphClassifier(small_config())
-    amps = rng.uniform(0.0, 1.0, size=(3, 12))
-    batch = model.forward_batch(amps)
-    for i in range(3):
-        np.testing.assert_array_equal(model.forward_sample(amps[i]), batch[i])
-
-
 def test_forward_rejects_wrong_cell_count(rng):
     model = GraphClassifier(small_config())
     with pytest.raises(ShapeError):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hrrpgnn.errors import ConfigError, NumericError, ShapeError
-from hrrpgnn.numerics import as_matrix, leaky_relu, log_softmax, matmul, softmax
+from hrrpgnn.errors import NumericError
+from hrrpgnn.numerics import log_softmax, softmax
 
 
 def test_softmax_known_values():
@@ -55,40 +55,6 @@ def test_log_softmax_matches_log_of_softmax(rng):
 def test_log_softmax_exp_sums_to_one(rng):
     v = rng.normal(0.0, 50.0, size=9)
     assert abs(np.exp(log_softmax(v)).sum() - 1.0) <= 1e-12
-
-
-def test_leaky_relu_values():
-    out = leaky_relu([-2.0, 0.0, 3.0], slope=0.1)
-    np.testing.assert_array_equal(out, [-0.2, 0.0, 3.0])
-
-
-def test_leaky_relu_slope_bounds():
-    with pytest.raises(ConfigError):
-        leaky_relu([1.0], slope=0.0)
-    with pytest.raises(ConfigError):
-        leaky_relu([1.0], slope=1.0)
-
-
-def test_as_matrix_rejects_wrong_ndim():
-    with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ShapeError):
-        as_matrix(np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError):
-        as_matrix(np.zeros((0, 3)))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as exc:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    msg = str(exc.value)
-    assert "2x3" in msg and "4x5" in msg
-
-
-def test_matmul_matches_numpy(rng):
-    a = rng.normal(size=(4, 6))
-    b = rng.normal(size=(6, 2))
-    np.testing.assert_array_equal(matmul(a, b), a @ b)
 
 
 def test_float64_promotion_from_float32_inputs():

@@ -147,6 +147,13 @@ def test_train_rejects_mismatched_data(toy_benchmark):
         train(tiny_model(n_classes=1), train_ds, TrainConfig(epochs=1))
 
 
+def test_evaluate_rejects_more_classes_than_model(toy_benchmark):
+    # the toy data has labels 0 and 1; a one-class model cannot score label 1
+    _, test_ds = toy_benchmark
+    with pytest.raises(ConfigError, match="labels reach 1"):
+        evaluate(tiny_model(n_classes=1), test_ds)
+
+
 def test_val_columns_present_with_val_set(toy_benchmark):
     train_ds, test_ds = toy_benchmark
     log = train(tiny_model(), train_ds, TrainConfig(epochs=1, batch_size=16),
