@@ -208,7 +208,7 @@ def load_csv(path) -> Dataset:
             )
         try:
             label = int(fields[0])
-            # HrrpSample's own checks (finite amplitudes) raise ValueError subclasses
+            # HrrpSample's own checks (finite, nonnegative amplitudes) raise ValueError subclasses
             sample = HrrpSample(np.array([float(v) for v in fields[1:]], dtype=np.float64), label)
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
@@ -226,8 +226,19 @@ def load_csv(path) -> Dataset:
             raise DataFormatError(f"{manifest_file}: invalid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
-        n_classes = manifest.get("n_classes", max(s.label for s in samples) + 1)
+        max_label = max(s.label for s in samples)
+        n_classes = manifest.get("n_classes", max_label + 1)
+        if type(n_classes) is not int or n_classes <= max_label:
+            raise DataFormatError(
+                f"{manifest_file}: n_classes must be an integer above the largest label "
+                f"{max_label}, got {n_classes!r}"
+            )
         class_names = manifest.get("class_names", [f"class{i}" for i in range(n_classes)])
+        if not (isinstance(class_names, list) and len(class_names) == n_classes
+                and all(isinstance(name, str) for name in class_names)):
+            raise DataFormatError(
+                f"{manifest_file}: class_names must be a list of {n_classes} strings"
+            )
         extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}
     else:
         n_classes = max(s.label for s in samples) + 1

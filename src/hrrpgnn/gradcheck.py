@@ -119,7 +119,7 @@ def check_model(
     }
 
     amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
-    if config.ablation.local_conv:
+    if "act1" in dict(model.chain):
         # central differences average the two slopes at the rectifier kink,
         # so the probe input must keep every pre-activation clear of 0 by
         # more than a parameter step can move it
@@ -139,28 +139,15 @@ def check_model(
 
     f()
     model.backward(labels)
-    enabled = _enabled_prefixes(config.ablation)
     results = {}
-    for name, param, grad in model.tensors():
-        if name.split(".")[0] not in enabled:
-            continue  # disabled layers never run; their gradients stay zero
-        results[name] = finite_diff_check(f, param, grad, step)
+    for prefix, layer in model.chain:  # layers off the chain never run
+        for name, param, grad in layer.tensors(prefix):
+            results[name] = finite_diff_check(f, param, grad, step)
 
     for name, arr in model.state_arrays().items():
         if name in saved_running:
             arr[...] = saved_running[name]
     return results
-
-
-def _enabled_prefixes(ablation: AblationConfig) -> set:
-    prefixes = {"fc"}
-    if ablation.local_conv:
-        prefixes |= {"conv1", "bn1", "conv2", "bn2"}
-    if ablation.graph_conv:
-        prefixes.add("gconv")
-    if ablation.attention:
-        prefixes.add("att")
-    return prefixes
 
 
 def check_all_ablations(

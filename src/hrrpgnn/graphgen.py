@@ -32,8 +32,11 @@ class HrrpSample:
         amps = np.asarray(self.amplitudes, dtype=np.float64)
         if amps.ndim != 1:
             raise ShapeError(f"amplitudes must be 1-D, got ndim={amps.ndim}")
-        if not np.all(np.isfinite(amps)):
-            raise ConfigError("amplitudes must be finite")
+        # one pass on the hot path (false on NaN too); -0.0 passes
+        if not ((amps >= 0.0) & (amps < np.inf)).all():
+            if not np.isfinite(amps).all():
+                raise ConfigError("amplitudes must be finite")
+            raise ConfigError(f"amplitudes must be nonnegative, got {amps.min()}")
         object.__setattr__(self, "amplitudes", amps)
 
 

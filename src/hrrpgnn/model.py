@@ -106,30 +106,15 @@ class ModelConfig:
         return self.d_out if self.ablation.local_conv else 1
 
     def to_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "n_classes": self.n_classes,
-            "d_out": self.d_out,
-            "g_out": self.g_out,
-            "leaky_slope": self.leaky_slope,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
-            "per_node_bias": self.per_node_bias,
-            "ablation": self.ablation.flags,
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["ablation"] = self.ablation.flags
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         d["ablation"] = AblationConfig.from_flags(d.get("ablation", "abc"))
         return cls(**d)
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 class GraphClassifier:
@@ -139,7 +124,8 @@ class GraphClassifier:
     weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)), biases zero, BN
     gamma 1 / beta 0 with running stats (0, 1). Every layer is always
     constructed (so checkpoints have a stable tensor set for a given
-    config) but disabled layers never run and their gradients stay zero.
+    config) but only the layers in ``chain`` run; the others' gradients
+    stay zero.
     """
 
     def __init__(self, config: ModelConfig):
@@ -157,6 +143,16 @@ class GraphClassifier:
         self.att = AttentionPool(config.head_dim)
         self.mean_pool = MeanPool()
         self.fc = Dense(config.head_dim, config.n_classes)
+        ab = config.ablation
+        # the (name, layer) pairs that run, in forward order
+        self.chain = (
+            ([("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
+              ("conv2", self.conv2), ("bn2", self.bn2), ("act2", self.act2)]
+             if ab.local_conv else [])
+            + ([("gconv", self.gconv)] if ab.graph_conv else [])
+            + [("att", self.att) if ab.attention else ("mean_pool", self.mean_pool)]
+            + [("fc", self.fc)]
+        )
         self._logits = None
         self._batch_size = None
         self.init_params(config.seed)
@@ -167,7 +163,7 @@ class GraphClassifier:
         """Reset all parameters deterministically; same seed, same tensors."""
         rng = np.random.default_rng(seed)
         # Fixed draw order keeps initialization reproducible.
-        for layer in (self.conv1, self.bn1, self.conv2, self.bn2, self.gconv, self.att, self.fc):
+        for _, layer in self._layers():
             layer.init(rng)
         self.step_count = 0
 
@@ -209,21 +205,15 @@ class GraphClassifier:
             raise ShapeError(
                 f"samples have {amps.shape[1]} cells, model is configured for {self.config.n_cells}"
             )
-        ab = self.config.ablation
         x = amps[:, None, :]
-        if ab.local_conv:
-            x = self.act1.forward(self.bn1.forward(self.conv1.forward(x, training), training))
-            x = self.act2.forward(self.bn2.forward(self.conv2.forward(x, training), training))
-        if ab.graph_conv:
-            x = self.gconv.forward(x, factored_adjacency_batch(amps), training)
-        if ab.attention:
-            pooled = self.att.forward(x, training)
-        else:
-            pooled = self.mean_pool.forward(x, training)
-        logits = self.fc.forward(pooled, training)
-        self._logits = logits
+        for name, layer in self.chain:
+            if name == "gconv":
+                x = layer.forward(x, factored_adjacency_batch(amps), training)
+            else:
+                x = layer.forward(x, training)
+        self._logits = x
         self._batch_size = amps.shape[0]
-        return log_softmax(logits, axis=1)
+        return log_softmax(x, axis=1)
 
     def backward(self, labels: np.ndarray) -> None:
         """Fill gradient slots with d(mean NLL)/d(params) for the cached forward."""
@@ -236,17 +226,12 @@ class GraphClassifier:
             )
         self._check_labels(labels)
         self.zero_grads()
-        # d(mean NLL over batch)/d(logits) = (softmax - one_hot) / batch
-        probs = softmax(self._logits, axis=1)
-        g = (probs - one_hot(labels, self.config.n_classes)) / self._batch_size
-        g = self.fc.backward(g)
-        ab = self.config.ablation
-        g = self.att.backward(g) if ab.attention else self.mean_pool.backward(g)
-        if ab.graph_conv:
-            g = self.gconv.backward(g)
-        if ab.local_conv:
-            g = self.conv2.backward(self.bn2.backward(self.act2.backward(g)))
-            g = self.conv1.backward(self.bn1.backward(self.act1.backward(g)))
+        # d(mean NLL over batch)/d(logits) = (softmax - one-hot labels) / batch
+        g = softmax(self._logits, axis=1)
+        g[np.arange(self._batch_size), labels] -= 1.0
+        g /= self._batch_size
+        for _, layer in reversed(self.chain):
+            g = layer.backward(g)
 
     def _check_labels(self, labels: np.ndarray) -> None:
         if labels.size and (labels.min() < 0 or labels.max() >= self.config.n_classes):
@@ -301,11 +286,13 @@ class GraphClassifier:
             unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
             if unknown:
                 raise DataFormatError(f"checkpoint {path} has unknown config fields {unknown}")
-            model = cls(ModelConfig.from_dict(payload["config"]))
-            stored = payload["tensors"]
-            step = int(payload["step"])
+            config, stored, step = payload["config"], payload["tensors"], int(payload["step"])
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"checkpoint {path} is missing field {exc}") from exc
+        try:
+            model = cls(ModelConfig.from_dict(config))
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise DataFormatError(f"checkpoint {path} has an invalid config: {exc}") from exc
         state = model.state_arrays()
         missing = sorted(set(state) - set(stored))
         if missing:

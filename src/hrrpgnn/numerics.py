@@ -15,8 +15,11 @@ from .errors import NumericError
 
 
 def _check_finite(v: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"{what} requires finite input, got {v}")
+    bad = v.size - np.count_nonzero(np.isfinite(v))
+    if bad:
+        raise NumericError(
+            f"{what} requires finite input, got {bad} non-finite entries in shape {v.shape}"
+        )
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig, with_ablation
 
 _COMPONENT_NAMES = {"a": "local-conv", "b": "graph-conv", "c": "attention"}
+
+# samples per forward pass in eval-mode loss and metric sweeps
+EVAL_CHUNK = 256
 
 
 def describe_flags(flags: str) -> str:
@@ -32,10 +35,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    shuffle: bool = True
     shuffle_seed: int = 0
 
     def __post_init__(self):
@@ -46,27 +45,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "shuffle": self.shuffle,
-            "shuffle_seed": self.shuffle_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class Adam:
@@ -77,6 +55,10 @@ class Adam:
     tensor order, so runs are reproducible.
     """
 
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
     def __init__(self, model: GraphClassifier, config: TrainConfig):
         self.config = config
         self.t = 0
@@ -85,21 +67,20 @@ class Adam:
             self._slots.append((name, param, grad, np.zeros_like(param), np.zeros_like(param)))
 
     def step(self) -> None:
-        c = self.config
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for _, param, grad, m, v in self._slots:
-            m *= c.beta1
-            m += (1.0 - c.beta1) * grad
-            v *= c.beta2
-            v += (1.0 - c.beta2) * grad * grad
-            param -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * grad * grad
+            param -= self.config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator, shuffle: bool):
-    """Index batches (shuffled unless disabled); a trailing singleton folds into its neighbor."""
-    order = rng.permutation(n) if shuffle else np.arange(n)
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Shuffled index batches; a trailing singleton folds into its neighbor."""
+    order = rng.permutation(n)
     edges = list(range(0, n, batch_size))
     batches = [order[i : i + batch_size] for i in edges]
     if len(batches) > 1 and len(batches[-1]) == 1:
@@ -122,14 +103,14 @@ def _checked_arrays(model: GraphClassifier, dataset: Dataset) -> tuple[np.ndarra
     return dataset.amplitude_matrix(), labels
 
 
-def dataset_loss(model: GraphClassifier, dataset: Dataset, chunk_size: int = 256) -> float:
+def dataset_loss(model: GraphClassifier, dataset: Dataset) -> float:
     """Eval-mode mean cross-entropy over a dataset."""
     amps = dataset.amplitude_matrix()
     labels = dataset.labels()
     total = 0.0
-    for i in range(0, len(dataset), chunk_size):
-        log_probs = model.forward_batch(amps[i : i + chunk_size], training=False)
-        total += model.loss_batch(log_probs, labels[i : i + chunk_size]) * len(labels[i : i + chunk_size])
+    for i in range(0, len(dataset), EVAL_CHUNK):
+        log_probs = model.forward_batch(amps[i : i + EVAL_CHUNK], training=False)
+        total += model.loss_batch(log_probs, labels[i : i + EVAL_CHUNK]) * len(labels[i : i + EVAL_CHUNK])
     return total / len(dataset)
 
 
@@ -184,12 +165,15 @@ def train(
         started = time.perf_counter()
         total_loss = 0.0
         n_correct = 0
-        for idx in _batches(len(dataset), config.batch_size, rng, config.shuffle):
-            log_probs = model.forward_batch(amps[idx], training=True)
-            total_loss += model.loss_batch(log_probs, labels[idx]) * len(idx)
-            n_correct += int((np.argmax(log_probs, axis=1) == labels[idx]).sum())
-            model.backward(labels[idx])
-            optimizer.step()
+        for step, idx in enumerate(_batches(len(dataset), config.batch_size, rng), start=1):
+            try:
+                log_probs = model.forward_batch(amps[idx], training=True)
+                total_loss += model.loss_batch(log_probs, labels[idx]) * len(idx)
+                n_correct += int((np.argmax(log_probs, axis=1) == labels[idx]).sum())
+                model.backward(labels[idx])
+                optimizer.step()
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
             model.step_count += 1
         row = val_columns(
             {
@@ -292,11 +276,11 @@ def metrics_from_confusion(conf: np.ndarray, class_names=None) -> Metrics:
     )
 
 
-def evaluate(model: GraphClassifier, dataset: Dataset, chunk_size: int = 256) -> Metrics:
+def evaluate(model: GraphClassifier, dataset: Dataset) -> Metrics:
     """Eval-mode accuracy/confusion metrics over a dataset."""
     amps, labels = _checked_arrays(model, dataset)
     preds = np.concatenate(
-        [model.predict_batch(amps[i : i + chunk_size]) for i in range(0, len(dataset), chunk_size)]
+        [model.predict_batch(amps[i : i + EVAL_CHUNK]) for i in range(0, len(dataset), EVAL_CHUNK)]
     )
     conf = confusion_matrix(labels, preds, model.config.n_classes)
     return metrics_from_confusion(conf, dataset.class_names)
@@ -351,12 +335,8 @@ def run_ablation_suite(
         }
         try:
             for seed in seeds:
-                cfg = with_ablation(model_config, flags)
-                cfg = ModelConfig.from_dict({**cfg.to_dict(), "seed": seed})
-                model = GraphClassifier(cfg)
-                shifted = TrainConfig.from_dict(
-                    {**train_config.to_dict(), "shuffle_seed": train_config.shuffle_seed + seed}
-                )
+                model = GraphClassifier(replace(with_ablation(model_config, flags), seed=seed))
+                shifted = replace(train_config, shuffle_seed=train_config.shuffle_seed + seed)
                 log = train(model, train_ds, shifted)
                 metrics = evaluate(model, test_ds)
                 row["accuracy"].append(metrics.accuracy)

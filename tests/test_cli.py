@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -205,12 +206,22 @@ MALFORMED = {
     "unknown-config-key": (
         _corrupt_checkpoint(lambda p: p["config"].update(bogus=1)), None, 3,
         "unknown config fields ['bogus']"),
+    "string-config-value": (
+        _corrupt_checkpoint(lambda p: p["config"].update(n_cells="32")), None, 3,
+        "invalid config"),
+    "out-of-range-config-value": (
+        _corrupt_checkpoint(lambda p: p["config"].update(n_cells=2)), None, 3, "invalid config"),
     "nan-in-checkpoint": (
         _corrupt_checkpoint(lambda p: p["tensors"]["fc.b"]["data"].__setitem__(0, float("nan"))),
         None, 3, "fc.b"),
     "3-class-csv-on-2-class-checkpoint": (
         None, _csv([(0, "0.5"), (1, "0.5"), (2, "0.5")]), 2, "2 classes"),
     "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
+    "negative-amplitude-in-csv": (None, _csv([(0, "0.5"), (1, "-0.5")]), 3, "line 3"),
+    "manifest-string-n-classes": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest='{"n_classes": "2"}'), 3, "n_classes"),
+    "manifest-n-classes-below-labels": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest='{"n_classes": 1}'), 3, "n_classes"),
     "bad-manifest-json": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest="{not json"), 3, "data.manifest.json"),
     "manifest-not-an-object": (
@@ -232,3 +243,16 @@ def test_malformed_input_exit_codes(case, gen_dir, run_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert expected in err
+
+
+def test_diverging_training_exit_code(gen_dir, tmp_path, capsys):
+    capsys.readouterr()
+    rc = run("train", "--data", str(gen_dir), "--out", str(tmp_path / "run"),
+             "--epochs", "2", "--d-out", "2", "--g-out", "2", "--lr", "1e300", "--quiet")
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert len(errors[0]) <= 200, errors[0]
+    assert re.match(r"error: epoch \d+, step \d+: ", errors[0]), errors[0]

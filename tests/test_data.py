@@ -156,9 +156,31 @@ def test_load_csv_errors_carry_line_numbers(tmp_path):
         path.write_text(f"label,h_0,h_1\n0,1.0,2.0\n1,{value},2.0\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 3: amplitudes must be finite"):
             load_csv(path)
+    path.write_text("label,h_0,h_1\n0,1.0,2.0\n1,-0.5,2.0\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 3: amplitudes must be nonnegative"):
+        load_csv(path)
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_csv(path)
+
+
+def test_load_csv_rejects_inconsistent_manifest(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("label,h_0,h_1\n0,1.0,2.0\n1,2.0,1.0\n", encoding="utf-8")
+    manifest = tmp_path / "data.manifest.json"
+    for fields, bad in (
+        ({"n_classes": "2"}, "n_classes"),
+        ({"n_classes": True}, "n_classes"),
+        ({"n_classes": 1}, "n_classes"),
+        ({"n_classes": 2, "class_names": ["a"]}, "class_names"),
+        ({"n_classes": 2, "class_names": "ab"}, "class_names"),
+        ({"n_classes": 2, "class_names": ["a", 2]}, "class_names"),
+    ):
+        manifest.write_text(json.dumps(fields), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"data.manifest.json: {bad}"):
+            load_csv(path)
+    manifest.write_text(json.dumps({"n_classes": 3, "class_names": ["a", "b", "c"]}), encoding="utf-8")
+    assert load_csv(path).class_names == ["a", "b", "c"]
 
 
 # ---- class specs -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrrpgnn.errors import ShapeError
+from hrrpgnn.errors import ConfigError, ShapeError
 from hrrpgnn.graphgen import (
     HrrpSample,
     build_adjacency,
@@ -83,6 +83,9 @@ def test_batch_adjacency_matches_per_sample(rng):
 def test_sample_validation():
     with pytest.raises(ShapeError):
         HrrpSample(np.zeros((2, 2)), label=0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        HrrpSample(np.array([0.5, -0.5]), label=0)
+    HrrpSample(np.array([0.5, -0.0]), label=0)  # negative zero is still zero
 
 
 def test_factored_dense_matches_batch(rng):

@@ -81,6 +81,16 @@ def test_forward_all_ablations_run(rng):
         lp = model.forward_batch(amps)
         assert lp.shape == (4, 3)
         assert np.all(np.isfinite(lp))
+        np.testing.assert_allclose(np.exp(lp).sum(axis=1), np.ones(4), atol=1e-12)
+
+
+def test_chain_follows_ablation():
+    def names(flags):
+        return [name for name, _ in GraphClassifier(with_ablation(small_config(), flags)).chain]
+
+    assert names("abc") == ["conv1", "bn1", "act1", "conv2", "bn2", "act2", "gconv", "att", "fc"]
+    assert names("bc") == ["gconv", "att", "fc"]
+    assert names("c") == ["att", "fc"]
 
 
 def test_forward_rejects_wrong_cell_count(rng):

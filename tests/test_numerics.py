@@ -44,6 +44,9 @@ def test_softmax_rejects_non_finite():
         softmax([np.nan, 1.0])
     with pytest.raises(NumericError):
         softmax([np.inf, 1.0])
+    # the message states the count and the shape, never the array
+    with pytest.raises(NumericError, match=r"got 32064 non-finite entries in shape \(64, 501\)$"):
+        softmax(np.full((64, 501), np.nan))
 
 
 def test_log_softmax_matches_log_of_softmax(rng):
