@@ -30,12 +30,7 @@ from .errors import (
     UsageError,
 )
 from .gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
-from .graphgen import (
-    FactoredAdjacency,
-    HrrpSample,
-    build_adjacency,
-    factored_adjacency_batch,
-)
+from .graphgen import HrrpSample, build_adjacency
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -79,7 +74,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "Dense",
-    "FactoredAdjacency",
     "GraphClassifier",
     "GraphConv",
     "HrrpGnnError",
@@ -102,7 +96,6 @@ __all__ = [
     "dataset_loss",
     "default_three_class_specs",
     "evaluate",
-    "factored_adjacency_batch",
     "finite_diff_check",
     "layer_suite",
     "load_class_specs",

@@ -226,6 +226,13 @@ def load_csv(path) -> Dataset:
             raise DataFormatError(f"{manifest_file}: invalid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
+        if "n_cells" in manifest and (
+            type(manifest["n_cells"]) is not int or manifest["n_cells"] != n_cells
+        ):
+            raise DataFormatError(
+                f"{manifest_file}: n_cells must equal the header's {n_cells} cells, "
+                f"got {manifest['n_cells']!r}"
+            )
         max_label = max(s.label for s in samples)
         n_classes = manifest.get("n_classes", max_label + 1)
         if type(n_classes) is not int or n_classes <= max_label:

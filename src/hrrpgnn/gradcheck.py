@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphgen import factored_adjacency_batch
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -31,9 +30,9 @@ DEFAULT_STEP = 1e-4
 def check_layer(layer, x, seed: int = 0, step: float = DEFAULT_STEP, extra=None) -> dict:
     """Gradient-check one layer's parameters and input on a fixed projection.
 
-    ``extra`` carries a non-differentiated forward argument (the factored
-    adjacency for the graph convolution). Returns {tensor_name: max_rel_error}
-    including an ``input`` entry.
+    ``extra`` carries a non-differentiated forward argument (the amplitudes
+    that define the graph convolution's adjacency). Returns
+    {tensor_name: max_rel_error} including an ``input`` entry.
     """
     rng = np.random.default_rng(seed)
     args = (x,) if extra is None else (x, extra)
@@ -74,9 +73,9 @@ def layer_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict:
 
     gconv = GraphConv(4, 5, n)
     gconv.init(rng)
-    adjacency = factored_adjacency_batch(rng.uniform(0.2, 1.0, (batch, n)))
+    amps = rng.uniform(0.2, 1.0, (batch, n))
     results["graphconv"] = check_layer(
-        gconv, rng.standard_normal((batch, 4, n)), seed + 4, step, extra=adjacency
+        gconv, rng.standard_normal((batch, 4, n)), seed + 4, step, extra=amps
     )
 
     att = AttentionPool(5)
@@ -94,9 +93,15 @@ def layer_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict:
 
 def _rectifier_margin(model: GraphClassifier, amps: np.ndarray) -> float:
     """Smallest |pre-activation| entering either rectifier (training mode)."""
-    t1 = model.bn1.forward(model.conv1.forward(amps[:, None, :], training=True), training=True)
-    t2 = model.bn2.forward(model.conv2.forward(model.act1.forward(t1), training=True), training=True)
-    return float(min(np.min(np.abs(t1)), np.min(np.abs(t2))))
+    margins = []
+    x = amps[:, None, :]
+    for name, layer in model.chain:
+        if isinstance(layer, LeakyReLU):
+            margins.append(np.min(np.abs(x)))
+            if name == "act2":
+                break
+        x = layer.forward(x, training=True)
+    return float(min(margins))
 
 
 def check_model(

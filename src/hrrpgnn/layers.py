@@ -9,7 +9,10 @@ not traced, and ``finite_diff_check`` is the oracle used to validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
-docstring, and an input of any other rank raises ``ShapeError``.
+docstring, and an input of any other rank raises ``ShapeError``. The
+graph convolution also takes each sample's raw amplitudes and applies the
+range-relative adjacency they define as a factored product, so it is the
+only code that touches the adjacency at run time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError, UsageError
-from .graphgen import FactoredAdjacency
+from .graphgen import reciprocal_distance
 from .numerics import softmax
 
 KERNEL_WIDTH = 3
@@ -181,11 +184,15 @@ class BatchNorm1d:
 class GraphConv:
     """Dense graph convolution: out column i = W1 x_i + W2 (sum_j e[j,i] x_j) + B[:, i].
 
-    In matrix form ``W1 X + W2 (X E) + B`` where E is the (symmetric) edge
-    weight matrix, passed as a ``FactoredAdjacency`` so that ``X E`` never
-    builds the dense (batch, N, N) stack. The bias is per-node (an
-    out_dim x N matrix) by default; ``per_node_bias=False`` switches to a
-    single shared per-channel column for node-count-agnostic experiments.
+    In matrix form ``W1 X + W2 (X E) + B`` where E is each sample's
+    symmetric range-relative edge matrix e[i, j] = h[i] h[j] / (|i - j| + 1)
+    (``graphgen.build_adjacency``). ``forward`` takes the raw (batch, N)
+    amplitudes h and applies E in factored form, X E = ((X * h) R) * h,
+    with the N x N reciprocal-distance matrix R built once per layer, so
+    the dense (batch, N, N) stack is never formed. The layer is built for
+    a fixed node count N. The bias is per-node (an out_dim x N matrix) by
+    default; ``per_node_bias=False`` switches to a single shared
+    per-channel column.
     """
 
     def __init__(self, in_dim: int, out_dim: int, n_nodes: int, per_node_bias: bool = True):
@@ -193,6 +200,7 @@ class GraphConv:
         self.out_dim = out_dim
         self.n_nodes = n_nodes
         self.per_node_bias = per_node_bias
+        self.recip = reciprocal_distance(n_nodes)
         self.w1 = np.zeros((out_dim, in_dim))
         self.w2 = np.zeros((out_dim, in_dim))
         self.bias = np.zeros((out_dim, n_nodes if per_node_bias else 1))
@@ -211,26 +219,38 @@ class GraphConv:
         yield f"{prefix}.w2", self.w2, self.g_w2
         yield f"{prefix}.bias", self.bias, self.g_bias
 
-    def forward(self, nodes, adjacency: FactoredAdjacency, training: bool = False) -> np.ndarray:
+    def _times_adjacency(self, x3: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h."""
+        out = (x3 * h) @ self.recip
+        out *= h
+        return out
+
+    def forward(self, nodes, amplitudes, training: bool = False) -> np.ndarray:
         x3 = _batch(nodes, 3, "graphconv nodes")
         if x3.shape[1] != self.in_dim:
             raise ShapeError(f"graphconv: input has {x3.shape[1]} channels, expected {self.in_dim}")
-        n = x3.shape[2]
-        agg = adjacency.matmul_right(x3)  # agg[b, d, i] = sum_j x[b, d, j] * e[b, j, i]
-        if self.per_node_bias and n != self.bias.shape[1]:
+        if x3.shape[2] != self.n_nodes:
             raise ShapeError(
-                f"graphconv: per-node bias covers {self.bias.shape[1]} nodes, input has {n}"
+                f"graphconv: layer is built for {self.n_nodes} nodes, input has {x3.shape[2]}"
             )
+        amps = _batch(amplitudes, 2, "graphconv amplitudes")
+        if amps.shape != (x3.shape[0], self.n_nodes):
+            raise ShapeError(
+                f"graphconv: amplitudes have shape {amps.shape}, "
+                f"nodes need ({x3.shape[0]}, {self.n_nodes})"
+            )
+        h = amps[:, None, :]
+        agg = self._times_adjacency(x3, h)  # agg[b, d, i] = sum_j x[b, d, j] * e[b, j, i]
         y = np.matmul(self.w1, x3)
         y += np.matmul(self.w2, agg)
         y += self.bias[None, :, :]
-        self._cache = (x3, adjacency, agg)
+        self._cache = (x3, h, agg)
         return y
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("graphconv.backward called before forward")
-        x3, adjacency, agg = self._cache
+        x3, h, agg = self._cache
         g3 = _batch(grad_out, 3, "graphconv grad")
         self.g_w1[...] = np.einsum("bgn,bdn->gd", g3, x3, optimize=True)
         self.g_w2[...] = np.einsum("bgn,bdn->gd", g3, agg, optimize=True)
@@ -240,7 +260,7 @@ class GraphConv:
             self.g_bias[...] = g3.sum(axis=(0, 2))[:, None]
         g_x = np.matmul(self.w1.T, g3)
         # E is symmetric, so G @ E^T is the same factored product
-        g_x += adjacency.matmul_right(np.matmul(self.w2.T, g3))
+        g_x += self._times_adjacency(np.matmul(self.w2.T, g3), h)
         return g_x
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
-from .graphgen import factored_adjacency_batch
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -207,8 +206,8 @@ class GraphClassifier:
             )
         x = amps[:, None, :]
         for name, layer in self.chain:
-            if name == "gconv":
-                x = layer.forward(x, factored_adjacency_batch(amps), training)
+            if name == "gconv":  # the amplitudes define the graph conv's adjacency
+                x = layer.forward(x, amps, training)
             else:
                 x = layer.forward(x, training)
         self._logits = x
@@ -286,9 +285,17 @@ class GraphClassifier:
             unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
             if unknown:
                 raise DataFormatError(f"checkpoint {path} has unknown config fields {unknown}")
-            config, stored, step = payload["config"], payload["tensors"], int(payload["step"])
+            config, stored, step = payload["config"], payload["tensors"], payload["step"]
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"checkpoint {path} is missing field {exc}") from exc
+        if type(step) is not int or step < 0:
+            raise DataFormatError(
+                f"checkpoint {path}: step must be a nonnegative integer, got {step!r}"
+            )
+        if not isinstance(stored, dict):
+            raise DataFormatError(
+                f"checkpoint {path}: tensors must be a JSON object, got {type(stored).__name__}"
+            )
         try:
             model = cls(ModelConfig.from_dict(config))
         except (TypeError, ValueError) as exc:  # ConfigError is a ValueError

@@ -211,6 +211,10 @@ MALFORMED = {
         "invalid config"),
     "out-of-range-config-value": (
         _corrupt_checkpoint(lambda p: p["config"].update(n_cells=2)), None, 3, "invalid config"),
+    "non-integer-step": (_corrupt_checkpoint(lambda p: p.update(step="abc")), None, 3, "step"),
+    "fractional-step": (_corrupt_checkpoint(lambda p: p.update(step=1.7)), None, 3, "step"),
+    "tensors-not-an-object": (
+        _corrupt_checkpoint(lambda p: p.update(tensors=5)), None, 3, "tensors"),
     "nan-in-checkpoint": (
         _corrupt_checkpoint(lambda p: p["tensors"]["fc.b"]["data"].__setitem__(0, float("nan"))),
         None, 3, "fc.b"),
@@ -226,6 +230,9 @@ MALFORMED = {
         None, _csv([(0, "0.5"), (1, "0.5")], manifest="{not json"), 3, "data.manifest.json"),
     "manifest-not-an-object": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest="[1, 2]"), 3, "data.manifest.json"),
+    "manifest-n-cells-mismatch": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest='{"n_cells": 999}'), 3,
+        "data.manifest.json: n_cells"),
 }
 
 

@@ -169,6 +169,9 @@ def test_load_csv_rejects_inconsistent_manifest(tmp_path):
     path.write_text("label,h_0,h_1\n0,1.0,2.0\n1,2.0,1.0\n", encoding="utf-8")
     manifest = tmp_path / "data.manifest.json"
     for fields, bad in (
+        ({"n_cells": 3}, "n_cells"),
+        ({"n_cells": "2"}, "n_cells"),
+        ({"n_cells": 2.0}, "n_cells"),
         ({"n_classes": "2"}, "n_classes"),
         ({"n_classes": True}, "n_classes"),
         ({"n_classes": 1}, "n_classes"),
@@ -179,7 +182,9 @@ def test_load_csv_rejects_inconsistent_manifest(tmp_path):
         manifest.write_text(json.dumps(fields), encoding="utf-8")
         with pytest.raises(DataFormatError, match=f"data.manifest.json: {bad}"):
             load_csv(path)
-    manifest.write_text(json.dumps({"n_classes": 3, "class_names": ["a", "b", "c"]}), encoding="utf-8")
+    manifest.write_text(
+        json.dumps({"n_cells": 2, "n_classes": 3, "class_names": ["a", "b", "c"]}), encoding="utf-8"
+    )
     assert load_csv(path).class_names == ["a", "b", "c"]
 
 

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, ShapeError
-from hrrpgnn.graphgen import (
-    HrrpSample,
-    build_adjacency,
-    factored_adjacency_batch,
-    reciprocal_distance,
-)
-
-
-def dense_stack(h):
-    """The per-sample definition, stacked: the reference for the factored form."""
-    return np.stack([build_adjacency(row) for row in h])
+from hrrpgnn.graphgen import HrrpSample, build_adjacency, reciprocal_distance
 
 
 def test_adjacency_worked_example():
@@ -64,20 +54,6 @@ def test_adjacency_rejects_bad_shapes():
         build_adjacency(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         build_adjacency(np.zeros(0))
-    with pytest.raises(ShapeError):
-        factored_adjacency_batch(np.zeros(5))
-
-
-def test_batch_adjacency_matches_per_sample(rng):
-    """Each sample of a batch gets its own operator: no mixing across the batch axis."""
-    h = rng.normal(size=(4, 11))
-    x = rng.normal(size=(4, 3, 11))
-    batch = factored_adjacency_batch(h).matmul_right(x)
-    assert batch.shape == (4, 3, 11)
-    for b in range(4):
-        alone = factored_adjacency_batch(h[b : b + 1]).matmul_right(x[b : b + 1])[0]
-        np.testing.assert_array_equal(batch[b], alone)
-        np.testing.assert_allclose(batch[b], x[b] @ build_adjacency(h[b]), rtol=1e-12, atol=1e-12)
 
 
 def test_sample_validation():
@@ -86,34 +62,3 @@ def test_sample_validation():
     with pytest.raises(ConfigError, match="nonnegative"):
         HrrpSample(np.array([0.5, -0.5]), label=0)
     HrrpSample(np.array([0.5, -0.0]), label=0)  # negative zero is still zero
-
-
-def test_factored_dense_matches_batch(rng):
-    """I @ E recovers each explicit edge matrix from the factored form."""
-    h = rng.uniform(0.0, 2.0, size=(3, 9))
-    fac = factored_adjacency_batch(h)
-    eye = np.broadcast_to(np.eye(9), (3, 9, 9))
-    np.testing.assert_allclose(fac.matmul_right(eye), dense_stack(h), rtol=0, atol=1e-15)
-    assert fac.batch_size == 3 and fac.n_nodes == 9
-
-
-def test_factored_matmul_right_matches_dense_product(rng):
-    h = rng.uniform(0.0, 2.0, size=(3, 9))
-    x = rng.normal(size=(3, 5, 9))
-    fac = factored_adjacency_batch(h)
-    expected = x @ dense_stack(h)
-    np.testing.assert_allclose(fac.matmul_right(x), expected, rtol=1e-12, atol=1e-12)
-
-
-def test_factored_matmul_right_shape_check(rng):
-    fac = factored_adjacency_batch(rng.normal(size=(2, 6)))
-    with pytest.raises(ShapeError):
-        fac.matmul_right(np.zeros((2, 3, 7)))
-    with pytest.raises(ShapeError):
-        fac.matmul_right(np.zeros((3, 3, 6)))
-
-
-def test_factored_is_frozen(rng):
-    fac = factored_adjacency_batch(rng.normal(size=(2, 6)))
-    with pytest.raises(AttributeError):
-        fac.recip = np.zeros((6, 6))

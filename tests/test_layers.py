@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import hrrpgnn.layers
 from hrrpgnn.errors import ConfigError, ShapeError, UsageError
-from hrrpgnn.graphgen import build_adjacency, factored_adjacency_batch
+from hrrpgnn.graphgen import build_adjacency
 from hrrpgnn.layers import (
     AttentionPool,
     BatchNorm1d,
@@ -88,7 +89,7 @@ def test_graphconv_worked_example():
     gc = GraphConv(1, 1, 2)
     gc.w1[...] = [[2.0]]
     gc.w2[...] = [[1.0]]
-    out = gc.forward(np.array([[[1.0, 3.0]]]), factored_adjacency_batch([[1.0, 3.0]]))
+    out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
     np.testing.assert_allclose(out, [[[7.5, 34.5]]], atol=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_graphconv_factored_matches_dense(rng):
     amps = rng.uniform(0.0, 2.0, size=(5, 10))
     x = rng.normal(size=(5, 3, 10))
     dense = np.stack([build_adjacency(a) for a in amps])
-    out = gc.forward(x, factored_adjacency_batch(amps))
+    out = gc.forward(x, amps)
     expected = gc.w1 @ x + gc.w2 @ (x @ dense) + gc.bias
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
@@ -112,31 +113,78 @@ def test_graphconv_factored_matches_dense(rng):
     np.testing.assert_allclose(gc.g_w2, expected_gw2, rtol=1e-12, atol=1e-12)
 
 
+def _adjacency_only(n_features, n_nodes):
+    """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
+    gc = GraphConv(n_features, n_features, n_nodes)
+    gc.w2[...] = np.eye(n_features)
+    return gc
+
+
+def test_graphconv_batch_matches_per_sample(rng):
+    """Each sample of a batch gets its own adjacency: no mixing across the batch axis."""
+    h = rng.normal(size=(4, 11))
+    x = rng.normal(size=(4, 3, 11))
+    gc = _adjacency_only(3, 11)
+    batch = gc.forward(x, h)
+    assert batch.shape == (4, 3, 11)
+    for b in range(4):
+        alone = gc.forward(x[b : b + 1], h[b : b + 1])[0]
+        np.testing.assert_array_equal(batch[b], alone)
+        np.testing.assert_allclose(batch[b], x[b] @ build_adjacency(h[b]), rtol=1e-12, atol=1e-12)
+
+
+def test_graphconv_recovers_dense_adjacency(rng):
+    """Identity node features turn X @ E into E: the factored product reproduces the definition."""
+    h = rng.uniform(0.0, 2.0, size=(3, 9))
+    eye = np.broadcast_to(np.eye(9), (3, 9, 9))
+    dense = np.stack([build_adjacency(row) for row in h])
+    np.testing.assert_allclose(_adjacency_only(9, 9).forward(eye, h), dense, rtol=0, atol=1e-15)
+
+
+def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
+    """R is built once with the layer; forward and backward reuse it."""
+    gc = GraphConv(2, 3, 6)
+    gc.init(rng)
+    np.testing.assert_array_equal(gc.recip, hrrpgnn.layers.reciprocal_distance(6))
+
+    def rebuilt(n_cells):
+        raise AssertionError("reciprocal_distance called after construction")
+
+    monkeypatch.setattr(hrrpgnn.layers, "reciprocal_distance", rebuilt)
+    out = gc.forward(rng.normal(size=(2, 2, 6)), rng.uniform(0.5, 1.5, size=(2, 6)), training=True)
+    gc.backward(rng.normal(size=out.shape))
+
+
 def test_graphconv_shape_mismatches(rng):
     gc = GraphConv(1, 2, 4)
     with pytest.raises(ShapeError):
         # nodes must be batched
-        gc.forward(np.zeros((1, 4)), factored_adjacency_batch(np.ones((1, 4))))
+        gc.forward(np.zeros((1, 4)), np.ones((1, 4)))
     with pytest.raises(ShapeError):
-        gc.forward(np.zeros((1, 2, 4)), factored_adjacency_batch(np.ones((1, 4))))
-    with pytest.raises(ShapeError):
-        # adjacency covers a different batch
-        gc.forward(np.zeros((2, 1, 4)), factored_adjacency_batch(np.ones((1, 4))))
-    with pytest.raises(ShapeError):
-        # adjacency covers a different node count
-        gc.forward(np.zeros((1, 1, 4)), factored_adjacency_batch(np.ones((1, 3))))
-    with pytest.raises(ShapeError):
-        # per-node bias pins the node count
-        gc.forward(np.zeros((1, 1, 5)), factored_adjacency_batch(np.ones((1, 5))))
+        gc.forward(np.zeros((1, 2, 4)), np.ones((1, 4)))
+    with pytest.raises(ShapeError, match="amplitudes"):
+        # amplitudes must be batched
+        gc.forward(np.zeros((1, 1, 4)), np.ones(4))
+    with pytest.raises(ShapeError, match="amplitudes"):
+        # amplitudes cover a different batch
+        gc.forward(np.zeros((2, 1, 4)), np.ones((1, 4)))
+    with pytest.raises(ShapeError, match="amplitudes"):
+        # amplitudes cover a different node count
+        gc.forward(np.zeros((1, 1, 4)), np.ones((1, 3)))
+    with pytest.raises(ShapeError, match="built for 4 nodes"):
+        # the layer pins the node count
+        gc.forward(np.zeros((1, 1, 5)), np.ones((1, 5)))
+    with pytest.raises(ShapeError, match="built for 4 nodes"):
+        # ... with a shared bias too
+        GraphConv(1, 2, 4, per_node_bias=False).forward(np.zeros((1, 1, 7)), np.ones((1, 7)))
 
 
 def test_graphconv_shared_bias_broadcasts(rng):
     gc = GraphConv(1, 2, 4, per_node_bias=False)
     assert gc.bias.shape == (2, 1)
     gc.bias[...] = [[1.0], [2.0]]
-    # the node count is free: 7 nodes against a layer built for 4
-    out = gc.forward(np.zeros((1, 1, 7)), factored_adjacency_batch(np.zeros((1, 7))))
-    np.testing.assert_array_equal(out, [[[1.0] * 7, [2.0] * 7]])
+    out = gc.forward(np.zeros((1, 1, 4)), np.zeros((1, 4)))
+    np.testing.assert_array_equal(out, [[[1.0] * 4, [2.0] * 4]])
 
 
 def test_attention_worked_example():
@@ -205,7 +253,7 @@ def test_layers_reject_unbatched_input():
     cases = [
         (Conv1d(1, 1), (np.zeros((1, 4)),)),
         (BatchNorm1d(1), (np.zeros((1, 4)),)),
-        (GraphConv(1, 1, 4), (np.zeros((1, 4)), factored_adjacency_batch(np.ones((1, 4))))),
+        (GraphConv(1, 1, 4), (np.zeros((1, 4)), np.ones((1, 4)))),
         (AttentionPool(1), (np.zeros((1, 4)),)),
         (MeanPool(), (np.zeros((1, 4)),)),
         (Dense(1, 1), (np.zeros(1),)),
@@ -244,7 +292,7 @@ def test_gradient_slots_are_filled_in_place(rng):
     layers["conv"].backward(rng.normal(size=(4, 3, 5)))
     layers["bn"].forward(x, training=True)
     layers["bn"].backward(rng.normal(size=x.shape))
-    layers["gconv"].forward(x, factored_adjacency_batch(rng.uniform(0.5, 1.5, size=(4, 5))))
+    layers["gconv"].forward(x, rng.uniform(0.5, 1.5, size=(4, 5)))
     layers["gconv"].backward(rng.normal(size=(4, 3, 5)))
     layers["att"].forward(x)
     layers["att"].backward(rng.normal(size=(4, 2)))
