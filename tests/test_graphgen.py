@@ -3,6 +3,7 @@ import pytest
 
 from hrrpgnn.errors import ConfigError, ShapeError
 from hrrpgnn.graphgen import HrrpSample, build_adjacency, reciprocal_distance
+from hrrpgnn.layers import GraphConv
 
 
 def test_adjacency_worked_example():
@@ -54,6 +55,32 @@ def test_adjacency_rejects_bad_shapes():
         build_adjacency(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         build_adjacency(np.zeros(0))
+
+
+def _adjacency_product(n_features, n_nodes):
+    """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
+    gc = GraphConv(n_features, n_features, n_nodes)
+    gc.w2[...] = np.eye(n_features)
+    return gc
+
+
+def test_factored_matmul_right_matches_dense_product(rng):
+    """GraphConv's factored ((X * h) @ R) * h equals X times the dense adjacency stack."""
+    h = rng.uniform(0.0, 2.0, size=(3, 9))
+    x = rng.normal(size=(3, 5, 9))
+    expected = x @ np.stack([build_adjacency(a) for a in h])
+    out = _adjacency_product(5, 9).forward(x, h)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_factored_matmul_right_shape_check(rng):
+    h = rng.normal(size=(2, 6))
+    with pytest.raises(ShapeError, match="amplitudes"):
+        # node count of X differs from the amplitudes'
+        _adjacency_product(3, 7).forward(np.zeros((2, 3, 7)), h)
+    with pytest.raises(ShapeError, match="amplitudes"):
+        # batch of X differs from the amplitudes'
+        _adjacency_product(3, 6).forward(np.zeros((3, 3, 6)), h)
 
 
 def test_sample_validation():
