@@ -41,13 +41,7 @@ from .layers import (
     MeanPool,
     finite_diff_check,
 )
-from .model import (
-    ABLATION_ORDER,
-    AblationConfig,
-    GraphClassifier,
-    ModelConfig,
-    with_ablation,
-)
+from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from .trainkit import (
     Adam,
     Metrics,
@@ -66,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ABLATION_ORDER",
     "Adam",
-    "AblationConfig",
     "AttentionPool",
     "BatchNorm1d",
     "ConfigError",
@@ -110,6 +103,5 @@ __all__ = [
     "synth_generate",
     "toy_two_class_specs",
     "train",
-    "with_ablation",
     "worst_error",
 ]

@@ -32,7 +32,7 @@ from .data import (
 )
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError, UsageError
 from .gradcheck import check_all_ablations, layer_suite, worst_error
-from .model import AblationConfig, GraphClassifier, ModelConfig
+from .model import GraphClassifier, ModelConfig
 from .trainkit import (
     TrainConfig,
     ablation_table,
@@ -98,7 +98,17 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _merge(defaults: dict, config_path, args, keys) -> dict:
+# what a --config value may be, by the type of its built-in default
+_CONFIG_TYPES = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a string or null", (str, type(None))),
+}
+
+
+def _merge(defaults: dict, config_path, args) -> dict:
     """defaults < config file < explicit CLI flags."""
     merged = dict(defaults)
     if config_path is not None:
@@ -116,8 +126,14 @@ def _merge(defaults: dict, config_path, args, keys) -> dict:
             raise UsageError(
                 f"{path}: unknown config keys {unknown}; valid keys: {sorted(defaults)}"
             )
+        for key, value in loaded.items():
+            expected, types = _CONFIG_TYPES[type(defaults[key])]
+            if type(value) not in types:
+                raise UsageError(
+                    f"{path}: config key {key!r} must be {expected}, got {type(value).__name__}"
+                )
         merged.update(loaded)
-    for key in keys:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -140,7 +156,7 @@ def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
         g_out=resolved["g_out"],
         leaky_slope=resolved["leaky_slope"],
         per_node_bias=not resolved["shared_bias"],
-        ablation=AblationConfig.from_flags(resolved["ablation"]),
+        ablation=resolved["ablation"],
         seed=resolved["seed"],
     )
 
@@ -152,13 +168,6 @@ def _train_config(resolved: dict) -> TrainConfig:
         learning_rate=resolved["lr"],
         shuffle_seed=resolved["shuffle_seed"],
     )
-
-
-def _load_dataset(path):
-    p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"dataset file not found: {p}")
-    return load_csv(p)
 
 
 def _resolve_train_data(data_arg):
@@ -175,8 +184,7 @@ def _resolve_train_data(data_arg):
 
 
 def cmd_gen_data(args) -> int:
-    keys = tuple(_GEN_DEFAULTS)
-    resolved = _merge(_GEN_DEFAULTS, args.config, args, keys)
+    resolved = _merge(_GEN_DEFAULTS, args.config, args)
     out_dir = Path(args.out)
 
     if resolved["spec"] is not None:
@@ -230,12 +238,12 @@ def _epoch_printer(epochs: int, quiet: bool):
 
 def cmd_train(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
-    resolved = _merge(defaults, args.config, args, tuple(defaults))
+    resolved = _merge(defaults, args.config, args)
     out_dir = Path(args.out)
 
     train_path, test_path = _resolve_train_data(args.data)
-    train_ds = _load_dataset(train_path)
-    val_ds = _load_dataset(args.val_data) if args.val_data is not None else None
+    train_ds = load_csv(train_path)
+    val_ds = load_csv(args.val_data) if args.val_data is not None else None
     model = GraphClassifier(_model_config(resolved, train_ds.n_cells, train_ds.n_classes))
     tc = _train_config(resolved)
     log = train(model, train_ds, tc, val_dataset=val_ds,
@@ -253,7 +261,7 @@ def cmd_train(args) -> int:
     if args.test_data is not None:
         test_path = Path(args.test_data)
     if test_path is not None:
-        test_ds = _load_dataset(test_path)
+        test_ds = load_csv(test_path)
         metrics = evaluate(model, test_ds)
         print(f"test accuracy {metrics.accuracy:.2f}%  average {metrics.average_accuracy:.2f}%")
         print(format_confusion(metrics))
@@ -276,11 +284,8 @@ def _metrics_csv(metrics) -> str:
 
 
 def cmd_eval(args) -> int:
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise DataFormatError(f"checkpoint not found: {checkpoint}")
-    model = GraphClassifier.load(checkpoint)
-    dataset = _load_dataset(args.data)
+    model = GraphClassifier.load(args.checkpoint)
+    dataset = load_csv(args.data)
     metrics = evaluate(model, dataset)
     print(f"samples          {metrics.n_samples}")
     print(f"accuracy         {metrics.accuracy:.2f}%")
@@ -298,10 +303,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "seeds": 5}
-    resolved = _merge(defaults, args.config, args, tuple(defaults))
+    resolved = _merge(defaults, args.config, args)
     out_dir = Path(args.out)
 
-    n_seeds = int(resolved["seeds"])
+    n_seeds = resolved["seeds"]
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
     seeds = list(range(n_seeds))
@@ -309,8 +314,8 @@ def cmd_ablate(args) -> int:
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise DataFormatError(f"--data must be a directory with train.csv/test.csv, got {data_dir}")
-    train_ds = _load_dataset(data_dir / "train.csv")
-    test_ds = _load_dataset(data_dir / "test.csv")
+    train_ds = load_csv(data_dir / "train.csv")
+    test_ds = load_csv(data_dir / "test.csv")
     base = _model_config(resolved, train_ds.n_cells, train_ds.n_classes)
     tc = _train_config(resolved)
 
@@ -371,6 +376,21 @@ def cmd_gradcheck(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _add_training_flags(p) -> None:
+    """The options train and ablate share."""
+    p.add_argument("--config", help="JSON file with option defaults")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
+    p.add_argument("--d-out", type=int, dest="d_out", help="conv channels")
+    p.add_argument("--g-out", type=int, dest="g_out", help="graph-conv features")
+    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
+    p.add_argument("--shared-bias", action="store_const", const=True, dest="shared_bias",
+                   help="one graph-conv bias per feature instead of per node")
+    p.add_argument("--quiet", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hrrpgnn",
@@ -402,19 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV to evaluate once after training (overrides the directory's test.csv)")
     p.add_argument("--val-data", dest="val_data",
                    help="CSV evaluated every epoch into the epoch log")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
+    _add_training_flags(p)
     p.add_argument("--seed", type=int, help="parameter initialization seed")
-    p.add_argument("--d-out", type=int, dest="d_out", help="conv channels")
-    p.add_argument("--g-out", type=int, dest="g_out", help="graph-conv features")
-    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
-    p.add_argument("--shared-bias", action="store_const", const=True, dest="shared_bias",
-                   help="one graph-conv bias per feature instead of per node")
     p.add_argument("--ablation", help="module subset of 'abc' (default abc)")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
@@ -426,17 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train/evaluate every module subset")
     p.add_argument("--data", required=True, help="directory holding train.csv and test.csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file with option defaults")
+    _add_training_flags(p)
     p.add_argument("--seeds", type=int, help="number of seeds per configuration (default 5)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
-    p.add_argument("--d-out", type=int, dest="d_out")
-    p.add_argument("--g-out", type=int, dest="g_out")
-    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
-    p.add_argument("--shared-bias", action="store_const", const=True, dest="shared_bias")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward passes")

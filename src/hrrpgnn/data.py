@@ -191,7 +191,10 @@ def save_csv(dataset: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Parse a dataset CSV; errors carry the 1-based line number."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read dataset {path}: {exc.strerror}") from exc
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
@@ -272,21 +275,19 @@ def class_spec_to_dict(spec: SynthClassSpec) -> dict:
 
 
 def class_spec_from_dict(d: dict) -> SynthClassSpec:
-    try:
-        scatterers = tuple(
-            ScattererSpec(float(sc["position"]), float(sc["amplitude"]), float(sc["width"]))
-            for sc in d["scatterers"]
-        )
-        return SynthClassSpec(
-            name=str(d["name"]),
-            scatterers=scatterers,
-            position_jitter=float(d.get("position_jitter", 0.0)),
-            amplitude_jitter=float(d.get("amplitude_jitter", 0.0)),
-            dropout_prob=float(d.get("dropout_prob", 0.0)),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"class spec is missing required field {exc}") from exc
+    """Raises KeyError, TypeError or ValueError on a malformed entry."""
+    scatterers = tuple(
+        ScattererSpec(float(sc["position"]), float(sc["amplitude"]), float(sc["width"]))
+        for sc in d["scatterers"]
+    )
+    return SynthClassSpec(
+        name=str(d["name"]),
+        scatterers=scatterers,
+        position_jitter=float(d.get("position_jitter", 0.0)),
+        amplitude_jitter=float(d.get("amplitude_jitter", 0.0)),
+        dropout_prob=float(d.get("dropout_prob", 0.0)),
+        noise_sigma=float(d.get("noise_sigma", 0.0)),
+    )
 
 
 def save_class_specs(specs: list[SynthClassSpec], path) -> None:
@@ -298,11 +299,18 @@ def load_class_specs(path) -> list[SynthClassSpec]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read class-spec file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if "classes" not in payload or not isinstance(payload["classes"], list):
+    if not isinstance(payload, dict) or not isinstance(payload.get("classes"), list):
         raise DataFormatError(f"{path}: expected a top-level 'classes' list")
-    specs = [class_spec_from_dict(d) for d in payload["classes"]]
+    try:
+        specs = [class_spec_from_dict(d) for d in payload["classes"]]
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: class spec is missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed class spec: {exc}") from exc
     if not specs:
         raise DataFormatError(f"{path}: 'classes' list is empty")
     return specs

@@ -22,7 +22,7 @@ from .layers import (
     MeanPool,
     finite_diff_check,
 )
-from .model import ABLATION_ORDER, AblationConfig, GraphClassifier, ModelConfig
+from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 DEFAULT_STEP = 1e-4
 
@@ -124,7 +124,7 @@ def check_model(
     }
 
     amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
-    if "act1" in dict(model.chain):
+    if "a" in config.ablation:
         # central differences average the two slopes at the rectifier kink,
         # so the probe input must keep every pre-activation clear of 0 by
         # more than a parameter step can move it
@@ -176,7 +176,7 @@ def check_all_ablations(
             n_classes=n_classes,
             d_out=d_out,
             g_out=g_out,
-            ablation=AblationConfig.from_flags(flags),
+            ablation=flags,
             seed=seed,
         )
         results[flags] = check_model(config, batch_size, seed, step)

@@ -20,7 +20,7 @@ enabled stage produces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,35 +39,6 @@ from .numerics import log_softmax, softmax
 CHECKPOINT_FORMAT = "hrrpgnn-checkpoint"
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    """Which of the three network modules are active."""
-
-    local_conv: bool = True
-    graph_conv: bool = True
-    attention: bool = True
-
-    def __post_init__(self):
-        if not (self.local_conv or self.graph_conv or self.attention):
-            raise ConfigError("at least one of local_conv/graph_conv/attention must be enabled")
-
-    @classmethod
-    def from_flags(cls, flags: str) -> "AblationConfig":
-        """Parse a subset of "abc": a=local conv, b=graph conv, c=attention."""
-        unknown = set(flags) - set("abc")
-        if unknown:
-            raise ConfigError(f"unknown ablation flags {sorted(unknown)}; use a subset of 'abc'")
-        if len(set(flags)) != len(flags):
-            raise ConfigError(f"duplicate ablation flags in {flags!r}")
-        return cls("a" in flags, "b" in flags, "c" in flags)
-
-    @property
-    def flags(self) -> str:
-        return ("a" if self.local_conv else "") + ("b" if self.graph_conv else "") + (
-            "c" if self.attention else ""
-        )
-
-
 # The seven legal configurations, in the canonical reporting order.
 ABLATION_ORDER = ("a", "b", "c", "ab", "ac", "bc", "abc")
 
@@ -82,7 +53,8 @@ class ModelConfig:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
     per_node_bias: bool = True
-    ablation: AblationConfig = field(default_factory=AblationConfig)
+    # the enabled modules: a=local conv, b=graph conv, c=attention
+    ablation: str = "abc"
     seed: int = 0
 
     def __post_init__(self):
@@ -93,27 +65,21 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        flags = self.ablation
+        if not (isinstance(flags, str) and flags and set(flags) <= set("abc")
+                and len(set(flags)) == len(flags)):
+            raise ConfigError(f"ablation must be a nonempty subset of 'abc', got {flags!r}")
+        object.__setattr__(self, "ablation", "".join(f for f in "abc" if f in flags))
 
     @property
     def gconv_in_dim(self) -> int:
-        return self.d_out if self.ablation.local_conv else 1
+        return self.d_out if "a" in self.ablation else 1
 
     @property
     def head_dim(self) -> int:
-        if self.ablation.graph_conv:
+        if "b" in self.ablation:
             return self.g_out
-        return self.d_out if self.ablation.local_conv else 1
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["ablation"] = self.ablation.flags
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["ablation"] = AblationConfig.from_flags(d.get("ablation", "abc"))
-        return cls(**d)
+        return self.gconv_in_dim
 
 
 class GraphClassifier:
@@ -142,14 +108,14 @@ class GraphClassifier:
         self.att = AttentionPool(config.head_dim)
         self.mean_pool = MeanPool()
         self.fc = Dense(config.head_dim, config.n_classes)
-        ab = config.ablation
+        flags = config.ablation
         # the (name, layer) pairs that run, in forward order
         self.chain = (
             ([("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
               ("conv2", self.conv2), ("bn2", self.bn2), ("act2", self.act2)]
-             if ab.local_conv else [])
-            + ([("gconv", self.gconv)] if ab.graph_conv else [])
-            + [("att", self.att) if ab.attention else ("mean_pool", self.mean_pool)]
+             if "a" in flags else [])
+            + ([("gconv", self.gconv)] if "b" in flags else [])
+            + [("att", self.att) if "c" in flags else ("mean_pool", self.mean_pool)]
             + [("fc", self.fc)]
         )
         self._logits = None
@@ -263,7 +229,7 @@ class GraphClassifier:
         payload = {
             "format": CHECKPOINT_FORMAT,
             "version": 1,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "step": self.step_count,
             "tensors": tensors,
         }
@@ -276,18 +242,24 @@ class GraphClassifier:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
+        except OSError as exc:
+            raise DataFormatError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
             found = repr(payload.get("format")) if isinstance(payload, dict) else type(payload).__name__
             raise DataFormatError(f"{path} is not a model checkpoint (format={found})")
         try:
-            unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
-            if unknown:
-                raise DataFormatError(f"checkpoint {path} has unknown config fields {unknown}")
             config, stored, step = payload["config"], payload["tensors"], payload["step"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise DataFormatError(f"checkpoint {path} is missing field {exc}") from exc
+        if not isinstance(config, dict):
+            raise DataFormatError(
+                f"checkpoint {path}: config must be a JSON object, got {type(config).__name__}"
+            )
+        unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise DataFormatError(f"checkpoint {path} has unknown config fields {unknown}")
         if type(step) is not int or step < 0:
             raise DataFormatError(
                 f"checkpoint {path}: step must be a nonnegative integer, got {step!r}"
@@ -297,7 +269,7 @@ class GraphClassifier:
                 f"checkpoint {path}: tensors must be a JSON object, got {type(stored).__name__}"
             )
         try:
-            model = cls(ModelConfig.from_dict(config))
+            model = cls(ModelConfig(**config))
         except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise DataFormatError(f"checkpoint {path} has an invalid config: {exc}") from exc
         state = model.state_arrays()
@@ -324,7 +296,3 @@ class GraphClassifier:
         model.step_count = step
         return model
 
-
-def with_ablation(config: ModelConfig, flags: str) -> ModelConfig:
-    """The same config rewired for a different module subset."""
-    return replace(config, ablation=AblationConfig.from_flags(flags))

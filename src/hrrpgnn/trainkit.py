@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, NumericError
-from .model import ABLATION_ORDER, GraphClassifier, ModelConfig, with_ablation
+from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 _COMPONENT_NAMES = {"a": "local-conv", "b": "graph-conv", "c": "attention"}
 
@@ -310,10 +310,9 @@ def run_ablation_suite(
     model_config: ModelConfig,
     train_config: TrainConfig,
     seeds: list[int],
-    rows: tuple = ABLATION_ORDER,
     progress=None,
 ) -> list[dict]:
-    """Train/evaluate every module subset; one result row per configuration.
+    """Train/evaluate every module subset; one result row each, in ``ABLATION_ORDER``.
 
     A failure inside one configuration is captured in that row's ``error``
     field and the sweep continues, so one bad config cannot sink the table.
@@ -321,7 +320,7 @@ def run_ablation_suite(
     if not seeds:
         raise ConfigError("need at least one seed")
     results = []
-    for flags in rows:
+    for flags in ABLATION_ORDER:
         row = {
             "flags": flags,
             "components": describe_flags(flags),
@@ -335,7 +334,7 @@ def run_ablation_suite(
         }
         try:
             for seed in seeds:
-                model = GraphClassifier(replace(with_ablation(model_config, flags), seed=seed))
+                model = GraphClassifier(replace(model_config, ablation=flags, seed=seed))
                 shifted = replace(train_config, shuffle_seed=train_config.shuffle_seed + seed)
                 log = train(model, train_ds, shifted)
                 metrics = evaluate(model, test_ds)

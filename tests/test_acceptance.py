@@ -32,7 +32,7 @@ from hrrpgnn.data import (
 )
 from hrrpgnn.gradcheck import check_all_ablations, layer_suite, worst_error
 from hrrpgnn.graphgen import build_adjacency
-from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig, with_ablation
+from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.trainkit import TrainConfig, evaluate, run_ablation_suite, train
 
 GRAD_TOL = 1e-4

@@ -145,6 +145,33 @@ def test_config_file_unknown_key(gen_dir, tmp_path):
     assert rc == 2
 
 
+# (subcommand, --config contents, the key the error line must name)
+BAD_CONFIG_VALUES = {
+    "string-epochs": ("train", {"epochs": "5"}, "epochs"),
+    "int-ablation": ("train", {"ablation": 5}, "ablation"),
+    "string-per-class": ("gen-data", {"per_class": "3"}, "per_class"),
+    "string-seeds": ("ablate", {"seeds": "x"}, "seeds"),
+    "string-shared-bias": ("train", {"shared_bias": "no"}, "shared_bias"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_config_file_value_types(case, gen_dir, tmp_path, capsys):
+    command, values, key = BAD_CONFIG_VALUES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    argv = [command, "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    if command != "gen-data":
+        argv += ["--data", str(gen_dir), "--quiet"]
+    capsys.readouterr()
+    rc = run(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert repr(key) in err
+
+
 def test_train_respects_seed_flag(gen_dir, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -215,6 +242,15 @@ MALFORMED = {
     "fractional-step": (_corrupt_checkpoint(lambda p: p.update(step=1.7)), None, 3, "step"),
     "tensors-not-an-object": (
         _corrupt_checkpoint(lambda p: p.update(tensors=5)), None, 3, "tensors"),
+    "config-not-an-object": (
+        _corrupt_checkpoint(lambda p: p.update(config=5)), None, 3,
+        "config must be a JSON object"),
+    "list-ablation": (
+        _corrupt_checkpoint(lambda p: p["config"].update(ablation=["a", "b", "c"])), None, 3,
+        "invalid config"),
+    "checkpoint-is-a-directory": (
+        lambda trained, tmp_path: tmp_path, None, 3, "cannot read checkpoint"),
+    "data-is-a-directory": (None, lambda tmp_path: tmp_path, 3, "cannot read dataset"),
     "nan-in-checkpoint": (
         _corrupt_checkpoint(lambda p: p["tensors"]["fc.b"]["data"].__setitem__(0, float("nan"))),
         None, 3, "fc.b"),

@@ -213,6 +213,13 @@ def test_load_class_specs_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"no_classes": []}), encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_class_specs(path)
+    with pytest.raises(DataFormatError, match="missing.json"):
+        load_class_specs(tmp_path / "missing.json")
+    scatterer = {"position": 1.0, "amplitude": 1.0, "width": "wide"}
+    for payload in ({"classes": [5]}, {"classes": [{"name": "x", "scatterers": [scatterer]}]}):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="bad.json"):
+            load_class_specs(path)
 
 
 def test_default_specs_fit_grid():

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 from hrrpgnn.gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
 from hrrpgnn.layers import Dense
-from hrrpgnn.model import ModelConfig, with_ablation
+from hrrpgnn.model import ModelConfig
 
 TOL = 1e-4
 
@@ -29,7 +31,7 @@ def test_check_model_full_config():
 
 
 def test_check_model_skips_disabled_modules():
-    cfg = with_ablation(ModelConfig(n_cells=8, n_classes=3, d_out=3, g_out=4, seed=0), "c")
+    cfg = replace(ModelConfig(n_cells=8, n_classes=3, d_out=3, g_out=4, seed=0), ablation="c")
     errs = check_model(cfg, batch_size=3, seed=0)
     assert not any(name.startswith(("conv1.", "gconv.")) for name in errs)
     assert worst_error(errs) < TOL

@@ -1,16 +1,11 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError, UsageError
-from hrrpgnn.model import (
-    ABLATION_ORDER,
-    AblationConfig,
-    GraphClassifier,
-    ModelConfig,
-    with_ablation,
-)
+from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 
 def small_config(**kw):
@@ -23,31 +18,29 @@ def small_config(**kw):
 
 
 def test_ablation_flag_parsing():
-    cfg = AblationConfig.from_flags("ac")
-    assert cfg.local_conv and not cfg.graph_conv and cfg.attention
-    assert cfg.flags == "ac"
+    # any order of the same modules is the same config, stored canonically
+    assert small_config(ablation="ca") == small_config(ablation="ac")
+    assert small_config(ablation="ca").ablation == "ac"
+    assert small_config().ablation == "abc"
     for flags in ABLATION_ORDER:
-        assert AblationConfig.from_flags(flags).flags == flags
+        assert small_config(ablation=flags).ablation == flags
 
 
 def test_ablation_rejects_empty_and_unknown():
-    with pytest.raises(ConfigError):
-        AblationConfig.from_flags("")
-    with pytest.raises(ConfigError):
-        AblationConfig.from_flags("xyz")
-    with pytest.raises(ConfigError):
-        AblationConfig.from_flags("aa")
+    for bad in ("", "xyz", "aa", 5, ["a"]):
+        with pytest.raises(ConfigError, match="ablation"):
+            small_config(ablation=bad)
 
 
 def test_wiring_dimensions_follow_ablation():
     # graph conv consumes d_out with convs on, raw channel otherwise;
     # the head consumes whatever the last enabled stage emits
     assert small_config().gconv_in_dim == 4
-    assert with_ablation(small_config(), "bc").gconv_in_dim == 1
+    assert replace(small_config(), ablation="bc").gconv_in_dim == 1
     assert small_config().head_dim == 5
-    assert with_ablation(small_config(), "ac").head_dim == 4
-    assert with_ablation(small_config(), "c").head_dim == 1
-    assert with_ablation(small_config(), "a").head_dim == 4
+    assert replace(small_config(), ablation="ac").head_dim == 4
+    assert replace(small_config(), ablation="c").head_dim == 1
+    assert replace(small_config(), ablation="a").head_dim == 4
 
 
 def test_config_validation():
@@ -60,8 +53,8 @@ def test_config_validation():
 
 
 def test_config_dict_roundtrip():
-    cfg = with_ablation(small_config(per_node_bias=False), "ab")
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    cfg = small_config(per_node_bias=False, ablation="ab")
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 # ---- forward pass ---------------------------------------------------------------
@@ -77,7 +70,7 @@ def test_forward_log_probs_shape_and_normalization(rng):
 def test_forward_all_ablations_run(rng):
     amps = rng.uniform(0.0, 1.0, size=(4, 12))
     for flags in ABLATION_ORDER:
-        model = GraphClassifier(with_ablation(small_config(), flags))
+        model = GraphClassifier(replace(small_config(), ablation=flags))
         lp = model.forward_batch(amps)
         assert lp.shape == (4, 3)
         assert np.all(np.isfinite(lp))
@@ -86,7 +79,7 @@ def test_forward_all_ablations_run(rng):
 
 def test_chain_follows_ablation():
     def names(flags):
-        return [name for name, _ in GraphClassifier(with_ablation(small_config(), flags)).chain]
+        return [name for name, _ in GraphClassifier(replace(small_config(), ablation=flags)).chain]
 
     assert names("abc") == ["conv1", "bn1", "act1", "conv2", "bn2", "act2", "gconv", "att", "fc"]
     assert names("bc") == ["gconv", "att", "fc"]
@@ -239,7 +232,7 @@ def test_load_rejects_shape_mismatch(tmp_path):
 
 
 def test_disabled_layers_keep_zero_grads(rng):
-    model = GraphClassifier(with_ablation(small_config(), "bc"))
+    model = GraphClassifier(replace(small_config(), ablation="bc"))
     amps = rng.uniform(size=(4, 12))
     model.forward_batch(amps, training=True)
     model.backward(np.array([0, 1, 2, 0]))
