@@ -6,9 +6,9 @@ then explicit flags; the merged result is echoed to
 ``<out>/resolved_config.json`` so a run can be reproduced from its
 artifacts alone.
 
-Exit codes: 0 success, 2 usage/configuration problem, 3 unreadable or
-malformed data/checkpoint file, 4 numeric failure (NaN, gradient check
-above tolerance).
+Exit codes: 0 success, 2 usage/configuration problem or unwritable
+output, 3 unreadable or malformed input file, 4 numeric failure (NaN,
+gradient check above tolerance); each error class carries its own.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .data import (
     load_class_specs,
     load_csv,
     make_benchmark,
+    read_json,
     save_class_specs,
     save_csv,
     toy_two_class_specs,
 )
-from .errors import ConfigError, DataFormatError, NumericError, ShapeError, UsageError
+from .errors import DataFormatError, HrrpGnnError, UsageError
 from .gradcheck import check_all_ablations, layer_suite, worst_error
 from .model import GraphClassifier, ModelConfig
 from .trainkit import (
@@ -113,12 +114,7 @@ def _merge(defaults: dict, config_path, args) -> dict:
     merged = dict(defaults)
     if config_path is not None:
         path = Path(config_path)
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise DataFormatError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+        loaded = read_json(path, "config file")
         if not isinstance(loaded, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         unknown = sorted(set(loaded) - set(defaults))
@@ -339,28 +335,19 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    per_layer = layer_suite(seed=args.seed)
     if args.layer is not None:
-        results = layer_suite(seed=args.seed, step=args.step)
-        if args.layer not in results:
+        if args.layer not in per_layer:
             raise UsageError(
-                f"unknown layer {args.layer!r}; one of {sorted(results)} or omit --layer"
+                f"unknown layer {args.layer!r}; one of {sorted(per_layer)} or omit --layer"
             )
-        results = {args.layer: results[args.layer]}
-        for name, err in results[args.layer].items():
+        results = {args.layer: per_layer[args.layer]}
+        for name, err in per_layer[args.layer].items():
             print(f"{args.layer}.{name:<20} {err:.3e}")
     else:
-        per_layer = layer_suite(seed=args.seed, step=args.step)
         for layer_name, tensors in per_layer.items():
             print(f"[layer {layer_name:<10}] worst {max(tensors.values()):.3e}")
-        whole = check_all_ablations(
-            n_cells=args.n_cells,
-            n_classes=args.n_classes,
-            d_out=args.d_out,
-            g_out=args.g_out,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            step=args.step,
-        )
+        whole = check_all_ablations(seed=args.seed)
         for flags, tensors in whole.items():
             print(f"[model {flags:<5}] worst {max(tensors.values()):.3e}")
         results = {"layers": per_layer, "model": whole}
@@ -444,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layer", help="check a single layer (conv1d, batchnorm, leaky_relu, "
                                    "graphconv, attention, mean_pool, dense)")
-    p.add_argument("--n-cells", type=int, default=16, dest="n_cells")
-    p.add_argument("--n-classes", type=int, default=3, dest="n_classes")
-    p.add_argument("--d-out", type=int, default=6, dest="d_out")
-    p.add_argument("--g-out", type=int, default=8, dest="g_out")
-    p.add_argument("--batch-size", type=int, default=3, dest="batch_size")
-    p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -461,18 +442,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except HrrpGnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # reads raise DataFormatError, so this is an output path
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (ConfigError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .graphgen import HrrpSample
 
 NORMALIZATION_MODES = ("max_abs", "l2", "none")
@@ -63,6 +63,18 @@ class Dataset:
     n_classes: int
     class_names: list[str]
     manifest: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Hold only what save_csv can write and load_csv reads back."""
+        if not self.samples:
+            raise ConfigError("a dataset needs at least one sample")
+        if len(self.class_names) != self.n_classes:
+            raise ConfigError(f"{len(self.class_names)} class names for {self.n_classes} classes")
+        for i, s in enumerate(self.samples):
+            if s.amplitudes.shape != (self.n_cells,):
+                raise ShapeError(f"sample {i} has shape {s.amplitudes.shape}, expected ({self.n_cells},)")
+            if not 0 <= s.label < self.n_classes:
+                raise ConfigError(f"sample {i} has label {s.label} outside [0, {self.n_classes})")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -145,8 +157,6 @@ def normalize(dataset: Dataset, mode: str = "max_abs") -> Dataset:
     """Per-sample rescaling; all-zero samples pass through untouched."""
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}; use one of {NORMALIZATION_MODES}")
-    if not dataset.samples:
-        raise ConfigError("cannot normalize an empty dataset")
     out = []
     for s in dataset.samples:
         h = s.amplitudes
@@ -162,7 +172,27 @@ def normalize(dataset: Dataset, mode: str = "max_abs") -> Dataset:
     return Dataset(out, dataset.n_cells, dataset.n_classes, list(dataset.class_names), manifest)
 
 
-# -- CSV + manifest I/O ------------------------------------------------------
+# -- file I/O -----------------------------------------------------------------
+
+
+def read_text(path, what: str) -> str:
+    """Contents of a UTF-8 input file; any failure to read it is a DataFormatError."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: not UTF-8 text at byte {exc.start}") from exc
+
+
+def read_json(path, what: str):
+    """The parsed contents of a JSON input file; invalid JSON is a DataFormatError."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _manifest_path(path) -> Path:
@@ -191,11 +221,7 @@ def save_csv(dataset: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Parse a dataset CSV; errors carry the 1-based line number."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset {path}: {exc.strerror}") from exc
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    lines = [ln for ln in read_text(path, "dataset").split("\n") if ln != ""]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -223,10 +249,7 @@ def load_csv(path) -> Dataset:
 
     manifest_file = _manifest_path(path)
     if manifest_file.exists():
-        try:
-            manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{manifest_file}: invalid JSON: {exc}") from exc
+        manifest = read_json(manifest_file, "manifest")
         if not isinstance(manifest, dict):
             raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
         if "n_cells" in manifest and (
@@ -297,12 +320,7 @@ def save_class_specs(specs: list[SynthClassSpec], path) -> None:
 
 def load_class_specs(path) -> list[SynthClassSpec]:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read class-spec file {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path, "class-spec file")
     if not isinstance(payload, dict) or not isinstance(payload.get("classes"), list):
         raise DataFormatError(f"{path}: expected a top-level 'classes' list")
     try:

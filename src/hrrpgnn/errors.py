@@ -1,8 +1,9 @@
-"""Exception vocabulary shared across the package."""
+"""Exception vocabulary shared across the package, with the CLI exit code of each."""
 
 
 class HrrpGnnError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 2
 
 
 class ShapeError(HrrpGnnError, ValueError):
@@ -11,6 +12,7 @@ class ShapeError(HrrpGnnError, ValueError):
 
 class NumericError(HrrpGnnError, ArithmeticError):
     """A computation received or produced non-finite values."""
+    exit_code = 4
 
 
 class ConfigError(HrrpGnnError, ValueError):
@@ -23,3 +25,4 @@ class UsageError(HrrpGnnError, RuntimeError):
 
 class DataFormatError(HrrpGnnError, ValueError):
     """A data file is malformed; message carries the offending location."""
+    exit_code = 3

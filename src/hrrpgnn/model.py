@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .data import read_json
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 from .layers import (
     AttentionPool,
@@ -239,13 +240,7 @@ class GraphClassifier:
 
     @classmethod
     def load(cls, path) -> "GraphClassifier":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise DataFormatError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        payload = read_json(path, "checkpoint")
         if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
             found = repr(payload.get("format")) if isinstance(payload, dict) else type(payload).__name__
             raise DataFormatError(f"{path} is not a model checkpoint (format={found})")

@@ -1,10 +1,19 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hrrpgnn.cli import main
+from hrrpgnn.errors import (
+    ConfigError,
+    DataFormatError,
+    HrrpGnnError,
+    NumericError,
+    ShapeError,
+    UsageError,
+)
 from hrrpgnn.model import GraphClassifier
 
 
@@ -216,8 +225,10 @@ def _csv(rows, manifest=None):
         header = "label," + ",".join(f"h_{i}" for i in range(16))
         lines = [header] + [f"{label}," + ",".join([value] * 16) for label, value in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if manifest is not None:
+        if isinstance(manifest, str):
             (tmp_path / "data.manifest.json").write_text(manifest, encoding="utf-8")
+        elif manifest is not None:
+            manifest(tmp_path / "data.manifest.json")
         return path
 
     return make
@@ -269,6 +280,11 @@ MALFORMED = {
     "manifest-n-cells-mismatch": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest='{"n_cells": 999}'), 3,
         "data.manifest.json: n_cells"),
+    "non-utf8-manifest": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest=lambda p: p.write_bytes(b"\xff\xfe{}")),
+        3, "data.manifest.json: not UTF-8"),
+    "manifest-is-a-directory": (
+        None, _csv([(0, "0.5"), (1, "0.5")], manifest=Path.mkdir), 3, "data.manifest.json"),
 }
 
 
@@ -299,3 +315,87 @@ def test_diverging_training_exit_code(gen_dir, tmp_path, capsys):
     assert len(errors) == 1, err
     assert len(errors[0]) <= 200, errors[0]
     assert re.match(r"error: epoch \d+, step \d+: ", errors[0]), errors[0]
+
+
+def _assert_one_line_error(rc, err, code, path):
+    assert rc == code, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
+_TINY = ["--epochs", "1", "--d-out", "2", "--g-out", "2", "--quiet"]
+_GEN = ["gen-data", "--out", "{out}", "--preset", "toy2", "--n-cells", "16", "--per-class", "2"]
+
+# every option that reads a file: (the rest of a valid command line, the option)
+READING_OPTIONS = {
+    "gen-data-spec": (_GEN, "--spec"),
+    "gen-data-config": (_GEN, "--config"),
+    "train-data": (["train", "--out", "{out}", *_TINY], "--data"),
+    "train-val-data": (["train", "--data", "{gen}", "--out", "{out}", *_TINY], "--val-data"),
+    "train-test-data": (["train", "--data", "{gen}", "--out", "{out}", *_TINY], "--test-data"),
+    "train-config": (["train", "--data", "{gen}", "--out", "{out}", *_TINY], "--config"),
+    "eval-data": (["eval", "--checkpoint", "{run}/model.json"], "--data"),
+    "eval-checkpoint": (["eval", "--data", "{gen}/test.csv"], "--checkpoint"),
+    "ablate-config": (["ablate", "--data", "{gen}", "--out", "{out}", "--seeds", "1", *_TINY],
+                      "--config"),
+}
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def _directory(tmp_path):
+    path = tmp_path / "adir"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_not_utf8, _directory], ids=["not-utf8", "directory"])
+@pytest.mark.parametrize("case", sorted(READING_OPTIONS))
+def test_unreadable_input_file_exit_code(case, make_input, gen_dir, run_dir, tmp_path, capsys):
+    rest, option = READING_OPTIONS[case]
+    bad = make_input(tmp_path)
+    argv = [a.format(out=tmp_path / "out", gen=gen_dir, run=run_dir) for a in rest]
+    capsys.readouterr()
+    rc = run(*argv, option, str(bad))
+    _assert_one_line_error(rc, capsys.readouterr().err, 3, bad)
+
+
+# an --out that cannot be written: (command line with {file}/{dir} placeholders, the path
+# the error must name)
+UNWRITABLE_OUTPUTS = {
+    "gen-data-onto-file": ([*_GEN[:2], "{file}", *_GEN[3:]], "{file}"),
+    "train-onto-file": (["train", "--data", "{gen}", "--out", "{file}", *_TINY], "{file}"),
+    "train-under-file": (["train", "--data", "{gen}", "--out", "{file}/sub", *_TINY],
+                         "{file}/sub"),
+    "ablate-onto-file": (["ablate", "--data", "{gen}", "--out", "{file}", "--seeds", "1",
+                          *_TINY], "{file}"),
+    "eval-onto-directory": (["eval", "--data", "{gen}/test.csv", "--checkpoint",
+                             "{run}/model.json", "--out", "{dir}"], "{dir}"),
+    "eval-into-missing-directory": (["eval", "--data", "{gen}/test.csv", "--checkpoint",
+                                     "{run}/model.json", "--out", "{dir}/missing/m.csv"],
+                                    "{dir}/missing/m.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exit_code(case, gen_dir, run_dir, tmp_path, capsys):
+    argv, named = UNWRITABLE_OUTPUTS[case]
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    paths = {"file": tmp_path / "afile", "dir": tmp_path, "gen": gen_dir, "run": run_dir}
+    capsys.readouterr()
+    rc = run(*(a.format(**paths) for a in argv))
+    _assert_one_line_error(rc, capsys.readouterr().err, 2, named.format(**paths))
+
+
+def test_error_classes_carry_the_documented_exit_codes():
+    # README: 2 usage or configuration error, 3 malformed data or checkpoint
+    # file, 4 numeric failure
+    codes = {cls: cls.exit_code for cls in
+             (HrrpGnnError, UsageError, ConfigError, ShapeError, DataFormatError, NumericError)}
+    assert codes == {HrrpGnnError: 2, UsageError: 2, ConfigError: 2, ShapeError: 2,
+                     DataFormatError: 3, NumericError: 4}

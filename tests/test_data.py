@@ -18,7 +18,7 @@ from hrrpgnn.data import (
     synth_generate,
     toy_two_class_specs,
 )
-from hrrpgnn.errors import ConfigError, DataFormatError
+from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError
 
 
 def two_specs():
@@ -102,6 +102,28 @@ def _sample(values, label):
     from hrrpgnn.graphgen import HrrpSample
 
     return HrrpSample(np.array(values, dtype=np.float64), label)
+
+
+# ---- dataset invariants ------------------------------------------------------------
+
+# (samples, n_cells, n_classes, class_names, error): each is a dataset save_csv
+# would write and load_csv would refuse to read back, or one evaluate cannot score
+INVALID_DATASETS = {
+    "no-samples": ([], 3, 1, ["a"], ConfigError),
+    "short-sample": ([_sample([1.0, 2.0, 3.0], 0)], 5, 1, ["a"], ShapeError),
+    "ragged-samples": ([_sample([1.0, 2.0, 3.0], 0), _sample([1.0, 2.0], 0)], 3, 1, ["a"],
+                       ShapeError),
+    "label-above-classes": ([_sample([1.0, 2.0, 3.0], 7)], 3, 2, ["a", "b"], ConfigError),
+    "negative-label": ([_sample([1.0, 2.0, 3.0], -1)], 3, 2, ["a", "b"], ConfigError),
+    "too-few-class-names": ([_sample([1.0, 2.0, 3.0], 0)], 3, 2, ["a"], ConfigError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_DATASETS))
+def test_dataset_rejects_what_load_csv_would(case):
+    samples, n_cells, n_classes, class_names, error = INVALID_DATASETS[case]
+    with pytest.raises(error):
+        Dataset(samples, n_cells, n_classes, class_names)
 
 
 # ---- CSV round trip ----------------------------------------------------------------
