@@ -29,7 +29,14 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
+from .gradcheck import (
+    check_all_ablations,
+    check_layer,
+    check_model,
+    finite_diff_check,
+    layer_suite,
+    worst_error,
+)
 from .graphgen import HrrpSample, build_adjacency
 from .layers import (
     AttentionPool,
@@ -39,7 +46,6 @@ from .layers import (
     GraphConv,
     LeakyReLU,
     MeanPool,
-    finite_diff_check,
 )
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from .trainkit import (

@@ -17,6 +17,7 @@ import argparse
 import difflib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +83,8 @@ _GEN_DEFAULTS = {
     "normalization": "max_abs",
 }
 
-_MODEL_DEFAULTS = {
-    "d_out": 16,
-    "g_out": 32,
-    "leaky_slope": 0.01,
-    "shared_bias": False,
-    "ablation": "abc",
-    "seed": 0,
-}
+# the ModelConfig fields with defaults; n_cells and n_classes come from the data
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING}
 
 _TRAIN_DEFAULTS = {
     "epochs": 100,
@@ -101,7 +96,6 @@ _TRAIN_DEFAULTS = {
 
 # what a --config value may be, by the type of its built-in default
 _CONFIG_TYPES = {
-    bool: ("a boolean", (bool,)),
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
     str: ("a string", (str,)),
@@ -137,7 +131,6 @@ def _merge(defaults: dict, config_path, args) -> dict:
 
 
 def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, **resolved}
     (out_dir / "resolved_config.json").write_text(
         json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n"
@@ -145,16 +138,7 @@ def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
 
 
 def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
-    return ModelConfig(
-        n_cells=n_cells,
-        n_classes=n_classes,
-        d_out=resolved["d_out"],
-        g_out=resolved["g_out"],
-        leaky_slope=resolved["leaky_slope"],
-        per_node_bias=not resolved["shared_bias"],
-        ablation=resolved["ablation"],
-        seed=resolved["seed"],
-    )
+    return ModelConfig(n_cells, n_classes, **{key: resolved[key] for key in _MODEL_DEFAULTS})
 
 
 def _train_config(resolved: dict) -> TrainConfig:
@@ -182,6 +166,7 @@ def _resolve_train_data(data_arg):
 def cmd_gen_data(args) -> int:
     resolved = _merge(_GEN_DEFAULTS, args.config, args)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
 
     if resolved["spec"] is not None:
         specs = load_class_specs(resolved["spec"])
@@ -201,7 +186,6 @@ def cmd_gen_data(args) -> int:
         test_position_offset=resolved["test_offset"],
         normalization=resolved["normalization"],
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(train_ds, out_dir / "train.csv")
     save_csv(test_ds, out_dir / "test.csv")
     save_class_specs(specs, out_dir / "class_specs.json")
@@ -236,6 +220,7 @@ def cmd_train(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
     resolved = _merge(defaults, args.config, args)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
 
     train_path, test_path = _resolve_train_data(args.data)
     train_ds = load_csv(train_path)
@@ -245,7 +230,6 @@ def cmd_train(args) -> int:
     log = train(model, train_ds, tc, val_dataset=val_ds,
                 epoch_callback=_epoch_printer(tc.epochs, args.quiet))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "model.json")
     save_epoch_log(log, out_dir / "epoch_log.csv")
     resolved["data"] = str(args.data)
@@ -271,7 +255,6 @@ def _metrics_csv(metrics) -> str:
     lines = ["metric,value"]
     lines.append(f"accuracy,{metrics.accuracy:.2f}")
     lines.append(f"average_accuracy,{metrics.average_accuracy:.2f}")
-    lines.append(f"macro_recall,{metrics.macro_recall:.2f}")
     lines.append(f"macro_f1,{metrics.macro_f1:.2f}")
     lines.append(f"n_samples,{metrics.n_samples}")
     for name, acc in zip(metrics.class_names, metrics.per_class_accuracy):
@@ -286,7 +269,6 @@ def cmd_eval(args) -> int:
     print(f"samples          {metrics.n_samples}")
     print(f"accuracy         {metrics.accuracy:.2f}%")
     print(f"average accuracy {metrics.average_accuracy:.2f}%")
-    print(f"macro recall     {metrics.macro_recall:.2f}%")
     print(f"macro F1         {metrics.macro_f1:.2f}%")
     for name, acc in zip(metrics.class_names, metrics.per_class_accuracy):
         print(f"  {name:<12} {acc:6.2f}%")
@@ -301,6 +283,7 @@ def cmd_ablate(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "seeds": 5}
     resolved = _merge(defaults, args.config, args)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
 
     n_seeds = resolved["seeds"]
     if n_seeds < 1:
@@ -322,7 +305,6 @@ def cmd_ablate(args) -> int:
     results = run_ablation_suite(train_ds, test_ds, base, tc, seeds, progress=progress)
     table = ablation_table(results)
     print(table)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_ablation_csv(results, out_dir / "ablation.csv")
     (out_dir / "ablation_table.txt").write_text(table + "\n", encoding="utf-8", newline="\n")
     resolved["data"] = str(args.data)
@@ -372,9 +354,6 @@ def _add_training_flags(p) -> None:
     p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
     p.add_argument("--d-out", type=int, dest="d_out", help="conv channels")
     p.add_argument("--g-out", type=int, dest="g_out", help="graph-conv features")
-    p.add_argument("--leaky-slope", type=float, dest="leaky_slope")
-    p.add_argument("--shared-bias", action="store_const", const=True, dest="shared_bias",
-                   help="one graph-conv bias per feature instead of per node")
     p.add_argument("--quiet", action="store_true")
 
 

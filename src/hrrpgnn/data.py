@@ -109,6 +109,12 @@ def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
         raise ConfigError(f"class {spec.name!r}: noise_sigma must be >= 0")
 
 
+def check_seed(name: str, seed) -> None:
+    """Random seeds are integers >= 0, the domain of ``np.random.default_rng``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 def synth_generate(
     specs: list[SynthClassSpec], per_class: int, n_cells: int, seed: int
 ) -> Dataset:
@@ -119,6 +125,7 @@ def synth_generate(
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
     if n_cells < 3:
         raise ConfigError(f"n_cells must be >= 3, got {n_cells}")
+    check_seed("seed", seed)
     for spec in specs:
         _validate_spec(spec, n_cells)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericError, ShapeError
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -20,14 +21,47 @@ from .layers import (
     GraphConv,
     LeakyReLU,
     MeanPool,
-    finite_diff_check,
 )
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
-DEFAULT_STEP = 1e-4
+# central-difference step for every check
+STEP = 1e-4
 
 
-def check_layer(layer, x, seed: int = 0, step: float = DEFAULT_STEP, extra=None) -> dict:
+def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
+    """Max relative error between ``analytic_grad`` and central differences of ``f``.
+
+    ``f`` is a zero-argument callable returning a scalar that depends on
+    ``theta``; the array is perturbed in place by ``STEP`` one coordinate at
+    a time and restored afterwards. The per-coordinate error is
+
+        |analytic - numeric| / max(1, |analytic|, |numeric|)
+    """
+    theta = np.asarray(theta)
+    analytic = np.asarray(analytic_grad, dtype=np.float64)
+    if analytic.shape != theta.shape:
+        raise ShapeError(
+            f"analytic gradient shape {analytic.shape} does not match parameter shape {theta.shape}"
+        )
+    worst = 0.0
+    for idx in np.ndindex(theta.shape):
+        original = theta[idx]
+        theta[idx] = original + STEP
+        f_plus = float(f())
+        theta[idx] = original - STEP
+        f_minus = float(f())
+        theta[idx] = original
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericError(f"finite_diff_check: non-finite objective at index {idx}")
+        numeric = (f_plus - f_minus) / (2.0 * STEP)
+        a = float(analytic[idx])
+        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+        if err > worst:
+            worst = err
+    return worst
+
+
+def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
     """Gradient-check one layer's parameters and input on a fixed projection.
 
     ``extra`` carries a non-differentiated forward argument (the amplitudes
@@ -46,12 +80,12 @@ def check_layer(layer, x, seed: int = 0, step: float = DEFAULT_STEP, extra=None)
     g_in = layer.backward(r)
     results = {}
     for name, param, grad in layer.tensors(""):
-        results[name.lstrip(".")] = finite_diff_check(f, param, grad, step)
-    results["input"] = finite_diff_check(f, x, g_in, step)
+        results[name.lstrip(".")] = finite_diff_check(f, param, grad)
+    results["input"] = finite_diff_check(f, x, g_in)
     return results
 
 
-def layer_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict:
+def layer_suite(seed: int = 0) -> dict:
     """Run every layer type once on small random shapes."""
     rng = np.random.default_rng(seed)
     batch, n = 3, 9
@@ -59,34 +93,32 @@ def layer_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict:
 
     conv = Conv1d(2, 4)
     conv.init(rng)
-    results["conv1d"] = check_layer(conv, rng.standard_normal((batch, 2, n)), seed + 1, step)
+    results["conv1d"] = check_layer(conv, rng.standard_normal((batch, 2, n)), seed + 1)
 
-    bn = BatchNorm1d(4)
-    bn.init(rng)
-    results["batchnorm"] = check_layer(bn, rng.standard_normal((batch, 4, n)), seed + 2, step)
+    results["batchnorm"] = check_layer(BatchNorm1d(4), rng.standard_normal((batch, 4, n)), seed + 2)
 
     # keep every coordinate clear of the kink at 0, where the two-sided
     # difference quotient averages the two slopes instead of matching either
     x_act = rng.standard_normal((batch, 4, n))
     x_act += np.where(x_act >= 0, 0.25, -0.25)
-    results["leaky_relu"] = check_layer(LeakyReLU(0.01), x_act, seed + 3, step)
+    results["leaky_relu"] = check_layer(LeakyReLU(), x_act, seed + 3)
 
     gconv = GraphConv(4, 5, n)
     gconv.init(rng)
     amps = rng.uniform(0.2, 1.0, (batch, n))
     results["graphconv"] = check_layer(
-        gconv, rng.standard_normal((batch, 4, n)), seed + 4, step, extra=amps
+        gconv, rng.standard_normal((batch, 4, n)), seed + 4, extra=amps
     )
 
     att = AttentionPool(5)
     att.init(rng)
-    results["attention"] = check_layer(att, rng.standard_normal((batch, 5, n)), seed + 5, step)
+    results["attention"] = check_layer(att, rng.standard_normal((batch, 5, n)), seed + 5)
 
-    results["mean_pool"] = check_layer(MeanPool(), rng.standard_normal((batch, 5, n)), seed + 6, step)
+    results["mean_pool"] = check_layer(MeanPool(), rng.standard_normal((batch, 5, n)), seed + 6)
 
     dense = Dense(5, 3)
     dense.init(rng)
-    results["dense"] = check_layer(dense, rng.standard_normal((batch, 5)), seed + 7, step)
+    results["dense"] = check_layer(dense, rng.standard_normal((batch, 5)), seed + 7)
 
     return results
 
@@ -104,9 +136,7 @@ def _rectifier_margin(model: GraphClassifier, amps: np.ndarray) -> float:
     return float(min(margins))
 
 
-def check_model(
-    config: ModelConfig, batch_size: int = 3, seed: int = 0, step: float = DEFAULT_STEP
-) -> dict:
+def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict:
     """Check d(loss)/d(theta) for every parameter of the assembled model.
 
     Runs in training mode (batch statistics active) with the actual NLL
@@ -130,7 +160,7 @@ def check_model(
         # more than a parameter step can move it
         best, best_margin = amps, _rectifier_margin(model, amps)
         for _ in range(50):
-            if best_margin > 100.0 * step:
+            if best_margin > 100.0 * STEP:
                 break
             amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
             margin = _rectifier_margin(model, amps)
@@ -147,7 +177,7 @@ def check_model(
     results = {}
     for prefix, layer in model.chain:  # layers off the chain never run
         for name, param, grad in layer.tensors(prefix):
-            results[name] = finite_diff_check(f, param, grad, step)
+            results[name] = finite_diff_check(f, param, grad)
 
     for name, arr in model.state_arrays().items():
         if name in saved_running:
@@ -162,7 +192,6 @@ def check_all_ablations(
     g_out: int = 8,
     batch_size: int = 3,
     seed: int = 0,
-    step: float = DEFAULT_STEP,
 ) -> dict:
     """Whole-model check for each of the seven module subsets.
 
@@ -171,15 +200,8 @@ def check_all_ablations(
     """
     results = {}
     for flags in ABLATION_ORDER:
-        config = ModelConfig(
-            n_cells=n_cells,
-            n_classes=n_classes,
-            d_out=d_out,
-            g_out=g_out,
-            ablation=flags,
-            seed=seed,
-        )
-        results[flags] = check_model(config, batch_size, seed, step)
+        config = ModelConfig(n_cells, n_classes, d_out, g_out, ablation=flags, seed=seed)
+        results[flags] = check_model(config, batch_size, seed)
     return results
 
 

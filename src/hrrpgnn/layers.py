@@ -5,7 +5,8 @@ function and caches whatever the analytic ``backward`` needs; ``backward``
 takes the upstream gradient, fills the layer's gradient slots (``g_*``
 arrays mirroring each parameter) and returns the gradient with respect to
 the layer input. Gradients are hand-derived from the forward semantics,
-not traced, and ``finite_diff_check`` is the oracle used to validate them.
+not traced, and ``gradcheck.finite_diff_check`` is the oracle used to
+validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 from .graphgen import reciprocal_distance
 from .numerics import softmax
 
@@ -114,14 +115,11 @@ class BatchNorm1d:
     expression.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        if eps <= 0.0:
-            raise ConfigError(f"batchnorm eps must be positive, got {eps}")
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"batchnorm momentum must lie in (0, 1), got {momentum}")
+    EPS = 1e-5
+    MOMENTUM = 0.1
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -154,12 +152,12 @@ class BatchNorm1d:
                 )
             mean = x3.mean(axis=(0, 2))
             var = x3.var(axis=(0, 2))
-            self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean[...] = (1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
+            self.running_var[...] = (1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x3 - mean[None, :, None]) * inv_std[None, :, None]
         y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
         self._cache = (xhat, inv_std, training, x3.shape)
@@ -190,20 +188,17 @@ class GraphConv:
     amplitudes h and applies E in factored form, X E = ((X * h) R) * h,
     with the N x N reciprocal-distance matrix R built once per layer, so
     the dense (batch, N, N) stack is never formed. The layer is built for
-    a fixed node count N. The bias is per-node (an out_dim x N matrix) by
-    default; ``per_node_bias=False`` switches to a single shared
-    per-channel column.
+    a fixed node count N, and the bias B is per node (an out_dim x N matrix).
     """
 
-    def __init__(self, in_dim: int, out_dim: int, n_nodes: int, per_node_bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, n_nodes: int):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.n_nodes = n_nodes
-        self.per_node_bias = per_node_bias
         self.recip = reciprocal_distance(n_nodes)
         self.w1 = np.zeros((out_dim, in_dim))
         self.w2 = np.zeros((out_dim, in_dim))
-        self.bias = np.zeros((out_dim, n_nodes if per_node_bias else 1))
+        self.bias = np.zeros((out_dim, n_nodes))
         self.g_w1 = np.zeros_like(self.w1)
         self.g_w2 = np.zeros_like(self.w2)
         self.g_bias = np.zeros_like(self.bias)
@@ -254,10 +249,7 @@ class GraphConv:
         g3 = _batch(grad_out, 3, "graphconv grad")
         self.g_w1[...] = np.einsum("bgn,bdn->gd", g3, x3, optimize=True)
         self.g_w2[...] = np.einsum("bgn,bdn->gd", g3, agg, optimize=True)
-        if self.per_node_bias:
-            self.g_bias[...] = g3.sum(axis=0)
-        else:
-            self.g_bias[...] = g3.sum(axis=(0, 2))[:, None]
+        self.g_bias[...] = g3.sum(axis=0)
         g_x = np.matmul(self.w1.T, g3)
         # E is symmetric, so G @ E^T is the same factored product
         g_x += self._times_adjacency(np.matmul(self.w2.T, g3), h)
@@ -381,10 +373,9 @@ class Dense:
 class LeakyReLU:
     """Elementwise leaky rectifier; the derivative at exactly 0 is taken as 1."""
 
-    def __init__(self, slope: float = 0.01):
-        if not 0.0 < slope < 1.0:
-            raise ConfigError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-        self.slope = slope
+    SLOPE = 0.01
+
+    def __init__(self):
         self._cache = None
 
     def tensors(self, prefix: str):
@@ -394,43 +385,11 @@ class LeakyReLU:
         x = np.asarray(x, dtype=np.float64)
         mask = x >= 0.0
         self._cache = mask
-        return np.where(mask, x, self.slope * x)
+        return np.where(mask, x, self.SLOPE * x)
 
     def backward(self, grad_out) -> np.ndarray:
         if self._cache is None:
             raise UsageError("leaky_relu.backward called before forward")
         g = np.asarray(grad_out, dtype=np.float64)
-        return np.where(self._cache, g, self.slope * g)
+        return np.where(self._cache, g, self.SLOPE * g)
 
-
-def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray, step: float = 1e-4) -> float:
-    """Max relative error between ``analytic_grad`` and central differences of ``f``.
-
-    ``f`` is a zero-argument callable returning a scalar that depends on
-    ``theta``; the array is perturbed in place one coordinate at a time and
-    restored afterwards. The per-coordinate error is
-
-        |analytic - numeric| / max(1, |analytic|, |numeric|)
-    """
-    theta = np.asarray(theta)
-    analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic.shape != theta.shape:
-        raise ShapeError(
-            f"analytic gradient shape {analytic.shape} does not match parameter shape {theta.shape}"
-        )
-    worst = 0.0
-    for idx in np.ndindex(theta.shape):
-        original = theta[idx]
-        theta[idx] = original + step
-        f_plus = float(f())
-        theta[idx] = original - step
-        f_minus = float(f())
-        theta[idx] = original
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"finite_diff_check: non-finite objective at index {idx}")
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        a = float(analytic[idx])
-        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        if err > worst:
-            worst = err
-    return worst

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import read_json
+from .data import check_seed, read_json
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 from .layers import (
     AttentionPool,
@@ -38,6 +38,7 @@ from .layers import (
 from .numerics import log_softmax, softmax
 
 CHECKPOINT_FORMAT = "hrrpgnn-checkpoint"
+CHECKPOINT_VERSION = 2
 
 
 # The seven legal configurations, in the canonical reporting order.
@@ -50,10 +51,6 @@ class ModelConfig:
     n_classes: int
     d_out: int = 16
     g_out: int = 32
-    leaky_slope: float = 0.01
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
-    per_node_bias: bool = True
     # the enabled modules: a=local conv, b=graph conv, c=attention
     ablation: str = "abc"
     seed: int = 0
@@ -64,8 +61,7 @@ class ModelConfig:
         for name in ("d_out", "g_out", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        check_seed("seed", self.seed)
         flags = self.ablation
         if not (isinstance(flags, str) and flags and set(flags) <= set("abc")
                 and len(set(flags)) == len(flags)):
@@ -96,16 +92,13 @@ class GraphClassifier:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.step_count = 0
         self.conv1 = Conv1d(1, config.d_out)
-        self.bn1 = BatchNorm1d(config.d_out, config.bn_eps, config.bn_momentum)
-        self.act1 = LeakyReLU(config.leaky_slope)
+        self.bn1 = BatchNorm1d(config.d_out)
+        self.act1 = LeakyReLU()
         self.conv2 = Conv1d(config.d_out, config.d_out)
-        self.bn2 = BatchNorm1d(config.d_out, config.bn_eps, config.bn_momentum)
-        self.act2 = LeakyReLU(config.leaky_slope)
-        self.gconv = GraphConv(
-            config.gconv_in_dim, config.g_out, config.n_cells, config.per_node_bias
-        )
+        self.bn2 = BatchNorm1d(config.d_out)
+        self.act2 = LeakyReLU()
+        self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells)
         self.att = AttentionPool(config.head_dim)
         self.mean_pool = MeanPool()
         self.fc = Dense(config.head_dim, config.n_classes)
@@ -229,7 +222,7 @@ class GraphClassifier:
         }
         payload = {
             "format": CHECKPOINT_FORMAT,
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "step": self.step_count,
             "tensors": tensors,
@@ -244,6 +237,9 @@ class GraphClassifier:
         if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
             found = repr(payload.get("format")) if isinstance(payload, dict) else type(payload).__name__
             raise DataFormatError(f"{path} is not a model checkpoint (format={found})")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise DataFormatError(f"checkpoint {path} has version {payload.get('version')!r}, "
+                                  f"only version {CHECKPOINT_VERSION} can be read")
         try:
             config, stored, step = payload["config"], payload["tensors"], payload["step"]
         except KeyError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_seed
 from .errors import ConfigError, NumericError
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
@@ -43,8 +43,9 @@ class TrainConfig:
         if self.batch_size < 2:
             # batch statistics degenerate on a single sample
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_seed("shuffle_seed", self.shuffle_seed)
 
 
 class Adam:
@@ -219,7 +220,6 @@ class Metrics:
     accuracy: float
     average_accuracy: float
     per_class_accuracy: np.ndarray
-    macro_recall: float
     macro_f1: float
     confusion: np.ndarray
     n_samples: int
@@ -230,7 +230,6 @@ class Metrics:
             "accuracy": round(self.accuracy, 2),
             "average_accuracy": round(self.average_accuracy, 2),
             "per_class_accuracy": [round(float(v), 2) for v in self.per_class_accuracy],
-            "macro_recall": round(self.macro_recall, 2),
             "macro_f1": round(self.macro_f1, 2),
             "confusion": self.confusion.tolist(),
             "n_samples": self.n_samples,
@@ -268,7 +267,6 @@ def metrics_from_confusion(conf: np.ndarray, class_names=None) -> Metrics:
         accuracy=100.0 * float(diag.sum()) / total if total else 0.0,
         average_accuracy=float(per_class.mean()),
         per_class_accuracy=per_class,
-        macro_recall=100.0 * float(recall.mean()),
         macro_f1=100.0 * float(f1.mean()),
         confusion=conf,
         n_samples=total,

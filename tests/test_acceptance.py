@@ -32,6 +32,7 @@ from hrrpgnn.data import (
 )
 from hrrpgnn.gradcheck import check_all_ablations, layer_suite, worst_error
 from hrrpgnn.graphgen import build_adjacency
+from hrrpgnn.layers import BatchNorm1d, LeakyReLU
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.trainkit import TrainConfig, evaluate, run_ablation_suite, train
 
@@ -102,7 +103,7 @@ def test_criterion_2_forward_oracle(report):
     for _ in range(100):
         amps = np.abs(rng.normal(0.0, 1.0, size=4))
         got = model.forward_batch(amps[None, :], training=False)[0]
-        want = reference_log_probs(state, amps.tolist(), config.leaky_slope, config.bn_eps)
+        want = reference_log_probs(state, amps.tolist(), LeakyReLU.SLOPE, BatchNorm1d.EPS)
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     elapsed = time.monotonic() - started
     ok = worst <= EXACT_TOL and elapsed < 5.0

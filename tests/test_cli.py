@@ -115,8 +115,8 @@ def test_usage_error_exit_code_and_suggestion(capsys):
     assert "--epochs" in capsys.readouterr().err
 
 
-def test_missing_dataset_exit_code():
-    assert run("train", "--data", "/nonexistent.csv", "--out", "/tmp/never") == 3
+def test_missing_dataset_exit_code(tmp_path):
+    assert run("train", "--data", "/nonexistent.csv", "--out", str(tmp_path / "never")) == 3
 
 
 def test_malformed_csv_exit_code(tmp_path):
@@ -160,7 +160,7 @@ BAD_CONFIG_VALUES = {
     "int-ablation": ("train", {"ablation": 5}, "ablation"),
     "string-per-class": ("gen-data", {"per_class": "3"}, "per_class"),
     "string-seeds": ("ablate", {"seeds": "x"}, "seeds"),
-    "string-shared-bias": ("train", {"shared_bias": "no"}, "shared_bias"),
+    "string-lr": ("train", {"lr": "0.1"}, "lr"),
 }
 
 
@@ -179,6 +179,18 @@ def test_config_file_value_types(case, gen_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert repr(key) in err
+
+
+def test_config_file_sets_every_model_field(gen_dir, tmp_path):
+    chosen = {"d_out": 3, "g_out": 4, "ablation": "bc", "seed": 7}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(chosen), encoding="utf-8")
+    out = tmp_path / "run"
+    rc = run("train", "--data", str(gen_dir), "--out", str(out),
+             "--config", str(cfg), "--epochs", "1", "--quiet")
+    assert rc == 0
+    saved = json.loads((out / "model.json").read_text(encoding="utf-8"))["config"]
+    assert saved == {"n_cells": 16, "n_classes": 2, **chosen}
 
 
 def test_train_respects_seed_flag(gen_dir, tmp_path):
@@ -283,6 +295,8 @@ MALFORMED = {
     "non-utf8-manifest": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest=lambda p: p.write_bytes(b"\xff\xfe{}")),
         3, "data.manifest.json: not UTF-8"),
+    "version-1-checkpoint": (
+        _corrupt_checkpoint(lambda p: p.update(version=1)), None, 3, "version 1"),
     "manifest-is-a-directory": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest=Path.mkdir), 3, "data.manifest.json"),
 }
@@ -390,6 +404,46 @@ def test_unwritable_output_exit_code(case, gen_dir, run_dir, tmp_path, capsys):
     capsys.readouterr()
     rc = run(*(a.format(**paths) for a in argv))
     _assert_one_line_error(rc, capsys.readouterr().err, 2, named.format(**paths))
+
+
+# a seed or learning rate outside its domain: (command line, the name the error must give)
+BAD_NUMBERS = {
+    "train-seed": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--seed", "-1"],
+                   "seed"),
+    "train-shuffle-seed": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--shuffle-seed", "-1"], "shuffle_seed"),
+    "gen-data-seed": ([*_GEN, "--seed", "-1"], "seed"),
+    "train-lr-nan": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--lr", "nan"],
+                     "learning_rate"),
+    "train-lr-inf": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--lr", "inf"],
+                     "learning_rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_seed_or_learning_rate_exit_code(case, gen_dir, tmp_path, capsys):
+    argv, name = BAD_NUMBERS[case]
+    capsys.readouterr()
+    rc = run(*(a.format(out=tmp_path / "out", gen=gen_dir) for a in argv))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert f"{name} must be" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--epochs", "2"],
+    ["ablate", "--epochs", "1", "--seeds", "1"],
+])
+def test_out_onto_a_file_fails_before_any_work(command, gen_dir, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    rc = run(*command, "--data", str(gen_dir), "--out", str(afile), "--d-out", "2", "--g-out", "2")
+    shown = capsys.readouterr()
+    _assert_one_line_error(rc, shown.err, 2, afile)
+    assert not re.search(r"^(epoch|\[)", shown.out, re.M), shown.out
 
 
 def test_error_classes_carry_the_documented_exit_codes():

@@ -5,6 +5,7 @@ import pytest
 
 import hrrpgnn.layers
 from hrrpgnn.errors import ConfigError, ShapeError, UsageError
+from hrrpgnn.gradcheck import finite_diff_check
 from hrrpgnn.graphgen import build_adjacency
 from hrrpgnn.layers import (
     AttentionPool,
@@ -14,7 +15,6 @@ from hrrpgnn.layers import (
     GraphConv,
     LeakyReLU,
     MeanPool,
-    finite_diff_check,
     uniform_init,
 )
 
@@ -58,7 +58,7 @@ def test_batchnorm_worked_example():
 
 
 def test_batchnorm_running_stats_update():
-    bn = BatchNorm1d(1, momentum=0.1)
+    bn = BatchNorm1d(1)
     bn.forward(np.array([[[1.0]], [[3.0]]]), training=True)
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
@@ -76,13 +76,6 @@ def test_batchnorm_training_rejects_single_sample():
     bn = BatchNorm1d(1)
     with pytest.raises(ConfigError):
         bn.forward(np.array([[[1.0, 2.0]]]), training=True)
-
-
-def test_batchnorm_config_validation():
-    with pytest.raises(ConfigError):
-        BatchNorm1d(1, eps=0.0)
-    with pytest.raises(ConfigError):
-        BatchNorm1d(1, momentum=1.0)
 
 
 def test_graphconv_worked_example():
@@ -174,17 +167,6 @@ def test_graphconv_shape_mismatches(rng):
     with pytest.raises(ShapeError, match="built for 4 nodes"):
         # the layer pins the node count
         gc.forward(np.zeros((1, 1, 5)), np.ones((1, 5)))
-    with pytest.raises(ShapeError, match="built for 4 nodes"):
-        # ... with a shared bias too
-        GraphConv(1, 2, 4, per_node_bias=False).forward(np.zeros((1, 1, 7)), np.ones((1, 7)))
-
-
-def test_graphconv_shared_bias_broadcasts(rng):
-    gc = GraphConv(1, 2, 4, per_node_bias=False)
-    assert gc.bias.shape == (2, 1)
-    gc.bias[...] = [[1.0], [2.0]]
-    out = gc.forward(np.zeros((1, 1, 4)), np.zeros((1, 4)))
-    np.testing.assert_array_equal(out, [[[1.0] * 4, [2.0] * 4]])
 
 
 def test_attention_worked_example():
@@ -225,24 +207,17 @@ def test_dense_worked_example():
 
 
 def test_leaky_relu_layer_roundtrip(rng):
-    act = LeakyReLU(0.25)
+    act = LeakyReLU()
     x = rng.normal(size=(3, 4))
     out = act.forward(x)
-    np.testing.assert_array_equal(out, np.where(x >= 0, x, 0.25 * x))
+    np.testing.assert_array_equal(out, np.where(x >= 0, x, LeakyReLU.SLOPE * x))
     g = rng.normal(size=x.shape)
-    np.testing.assert_array_equal(act.backward(g), np.where(x >= 0, g, 0.25 * g))
+    np.testing.assert_array_equal(act.backward(g), np.where(x >= 0, g, LeakyReLU.SLOPE * g))
 
 
 def test_leaky_relu_values():
-    out = LeakyReLU(0.1).forward([-2.0, 0.0, 3.0])
-    np.testing.assert_array_equal(out, [-0.2, 0.0, 3.0])
-
-
-def test_leaky_relu_slope_bounds():
-    with pytest.raises(ConfigError):
-        LeakyReLU(0.0)
-    with pytest.raises(ConfigError):
-        LeakyReLU(1.0)
+    out = LeakyReLU().forward([-2.0, 0.0, 3.0])
+    np.testing.assert_array_equal(out, [-2.0 * LeakyReLU.SLOPE, 0.0, 3.0])
 
 
 # ---- batching, caching, gradient slots ----------------------------------------

@@ -48,12 +48,10 @@ def test_config_validation():
         ModelConfig(n_cells=2, n_classes=2)
     with pytest.raises(ConfigError):
         ModelConfig(n_cells=8, n_classes=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(n_cells=8, n_classes=2, leaky_slope=1.5)
 
 
 def test_config_dict_roundtrip():
-    cfg = small_config(per_node_bias=False, ablation="ab")
+    cfg = small_config(ablation="ab")
     assert ModelConfig(**asdict(cfg)) == cfg
 
 
