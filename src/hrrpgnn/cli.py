@@ -165,9 +165,6 @@ def _resolve_train_data(data_arg):
 
 def cmd_gen_data(args) -> int:
     resolved = _merge(_GEN_DEFAULTS, args.config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
-
     if resolved["spec"] is not None:
         specs = load_class_specs(resolved["spec"])
     elif resolved["preset"] == "default3":
@@ -186,6 +183,8 @@ def cmd_gen_data(args) -> int:
         test_position_offset=resolved["test_offset"],
         normalization=resolved["normalization"],
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
     save_csv(train_ds, out_dir / "train.csv")
     save_csv(test_ds, out_dir / "test.csv")
     save_class_specs(specs, out_dir / "class_specs.json")
@@ -219,14 +218,16 @@ def _epoch_printer(epochs: int, quiet: bool):
 def cmd_train(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
     resolved = _merge(defaults, args.config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
-
     train_path, test_path = _resolve_train_data(args.data)
+    if args.test_data is not None:
+        test_path = Path(args.test_data)
     train_ds = load_csv(train_path)
     val_ds = load_csv(args.val_data) if args.val_data is not None else None
+    test_ds = load_csv(test_path) if test_path is not None else None
     model = GraphClassifier(_model_config(resolved, train_ds.n_cells, train_ds.n_classes))
     tc = _train_config(resolved)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
     log = train(model, train_ds, tc, val_dataset=val_ds,
                 epoch_callback=_epoch_printer(tc.epochs, args.quiet))
 
@@ -238,10 +239,7 @@ def cmd_train(args) -> int:
           f"accuracy {log[-1]['train_accuracy']:.2f}%")
     print(f"wrote {out_dir / 'model.json'}")
 
-    if args.test_data is not None:
-        test_path = Path(args.test_data)
-    if test_path is not None:
-        test_ds = load_csv(test_path)
+    if test_ds is not None:
         metrics = evaluate(model, test_ds)
         print(f"test accuracy {metrics.accuracy:.2f}%  average {metrics.average_accuracy:.2f}%")
         print(format_confusion(metrics))
@@ -282,9 +280,6 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "seeds": 5}
     resolved = _merge(defaults, args.config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # claim --out before any work
-
     n_seeds = resolved["seeds"]
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
@@ -297,6 +292,8 @@ def cmd_ablate(args) -> int:
     test_ds = load_csv(data_dir / "test.csv")
     base = _model_config(resolved, train_ds.n_cells, train_ds.n_classes)
     tc = _train_config(resolved)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
 
     def progress(flags, seed, metrics):
         if not args.quiet:
@@ -317,6 +314,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tol < np.inf:  # NaN fails both comparisons
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     per_layer = layer_suite(seed=args.seed)
     if args.layer is not None:
         if args.layer not in per_layer:
@@ -420,7 +419,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a diverging run is reported once, by numerics' finiteness check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except HrrpGnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -91,8 +91,7 @@ def layer_suite(seed: int = 0) -> dict:
     batch, n = 3, 9
     results = {}
 
-    conv = Conv1d(2, 4)
-    conv.init(rng)
+    conv = Conv1d(2, 4, rng)
     results["conv1d"] = check_layer(conv, rng.standard_normal((batch, 2, n)), seed + 1)
 
     results["batchnorm"] = check_layer(BatchNorm1d(4), rng.standard_normal((batch, 4, n)), seed + 2)
@@ -103,21 +102,18 @@ def layer_suite(seed: int = 0) -> dict:
     x_act += np.where(x_act >= 0, 0.25, -0.25)
     results["leaky_relu"] = check_layer(LeakyReLU(), x_act, seed + 3)
 
-    gconv = GraphConv(4, 5, n)
-    gconv.init(rng)
+    gconv = GraphConv(4, 5, n, rng)
     amps = rng.uniform(0.2, 1.0, (batch, n))
     results["graphconv"] = check_layer(
         gconv, rng.standard_normal((batch, 4, n)), seed + 4, extra=amps
     )
 
-    att = AttentionPool(5)
-    att.init(rng)
+    att = AttentionPool(5, rng)
     results["attention"] = check_layer(att, rng.standard_normal((batch, 5, n)), seed + 5)
 
     results["mean_pool"] = check_layer(MeanPool(), rng.standard_normal((batch, 5, n)), seed + 6)
 
-    dense = Dense(5, 3)
-    dense.init(rng)
+    dense = Dense(5, 3, rng)
     results["dense"] = check_layer(dense, rng.standard_normal((batch, 5)), seed + 7)
 
     return results

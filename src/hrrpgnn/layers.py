@@ -1,12 +1,18 @@
 """The differentiable layers of the network.
 
-Every layer follows the same contract: ``forward`` computes the layer
-function and caches whatever the analytic ``backward`` needs; ``backward``
-takes the upstream gradient, fills the layer's gradient slots (``g_*``
-arrays mirroring each parameter) and returns the gradient with respect to
-the layer input. Gradients are hand-derived from the forward semantics,
-not traced, and ``gradcheck.finite_diff_check`` is the oracle used to
-validate them.
+Every layer follows the same contract, kept in ``_Layer``. A layer is
+ready to use once constructed: the layers with weights (Conv1d, GraphConv,
+AttentionPool, Dense) take the caller's generator as their last argument
+and draw the weights from it with ``uniform_init``, in ``PARAMS`` order;
+biases start at zero. ``PARAMS`` names the parameter arrays in checkpoint
+order, and the gradient slot of parameter ``p`` is the same-shaped array
+``g_p``. ``forward`` computes the
+layer function and caches whatever the analytic ``backward`` needs;
+``backward`` takes the upstream gradient, overwrites every gradient slot
+in place (optimizers hold references to them) and returns the gradient
+with respect to the layer input. Gradients are hand-derived from the
+forward semantics, not traced, and ``gradcheck.finite_diff_check`` is the
+oracle used to validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
@@ -42,7 +48,25 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv1d:
+class _Layer:
+    """What every layer shares: its named tensors and its forward cache."""
+
+    PARAMS: tuple = ()
+    _cache = None
+
+    def tensors(self, prefix: str):
+        """(name, param, grad) for each of ``PARAMS``, in checkpoint order."""
+        for p in self.PARAMS:
+            yield f"{prefix}.{p}", getattr(self, p), getattr(self, f"g_{p}")
+
+    def _cached(self):
+        """What the last ``forward`` stored; a UsageError before the first one."""
+        if self._cache is None:
+            raise UsageError(f"{type(self).__name__}: forward has not run yet")
+        return self._cache
+
+
+class Conv1d(_Layer):
     """Width-3 cross-correlation with zero same-padding and stride 1.
 
     Input (in_channels x N) maps to (out_channels x N); the node count N is
@@ -50,23 +74,17 @@ class Conv1d:
     at least the kernel width.
     """
 
-    def __init__(self, in_channels: int, out_channels: int):
+    PARAMS = ("kernels", "bias")
+
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernels = np.zeros((out_channels, in_channels, KERNEL_WIDTH))
+        self.kernels = uniform_init(
+            rng, (out_channels, in_channels, KERNEL_WIDTH), in_channels * KERNEL_WIDTH
+        )
         self.bias = np.zeros(out_channels)
         self.g_kernels = np.zeros_like(self.kernels)
         self.g_bias = np.zeros_like(self.bias)
-        self._cache = None
-
-    def init(self, rng: np.random.Generator) -> None:
-        # in-place so (param, grad) references held by optimizers stay valid
-        self.kernels[...] = uniform_init(rng, self.kernels.shape, self.in_channels * KERNEL_WIDTH)
-        self.bias[...] = 0.0
-
-    def tensors(self, prefix: str):
-        yield f"{prefix}.kernels", self.kernels, self.g_kernels
-        yield f"{prefix}.bias", self.bias, self.g_bias
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x3 = _batch(x, 3, "conv1d")
@@ -85,11 +103,8 @@ class Conv1d:
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("conv1d.backward called before forward")
-        windows, xshape = self._cache
+        windows, xshape = self._cached()
         g3 = _batch(grad_out, 3, "conv1d grad")
-        # fill the slots in place: optimizers hold references to them
         self.g_kernels[...] = np.einsum("bon,bcnk->ock", g3, windows, optimize=True)
         self.g_bias[...] = g3.sum(axis=(0, 2))
         b, c, n = xshape
@@ -101,7 +116,7 @@ class Conv1d:
         return g_xp[:, :, 1 : n + 1]
 
 
-class BatchNorm1d:
+class BatchNorm1d(_Layer):
     """Per-channel batch normalization over the (batch x positions) axes.
 
     Training mode standardizes with the batch's population statistics and
@@ -117,6 +132,7 @@ class BatchNorm1d:
 
     EPS = 1e-5
     MOMENTUM = 0.1
+    PARAMS = ("gamma", "beta")
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -126,17 +142,6 @@ class BatchNorm1d:
         self.running_var = np.ones(channels)
         self.g_gamma = np.zeros_like(self.gamma)
         self.g_beta = np.zeros_like(self.beta)
-        self._cache = None
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.gamma[...] = 1.0
-        self.beta[...] = 0.0
-        self.running_mean[...] = 0.0
-        self.running_var[...] = 1.0
-
-    def tensors(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma, self.g_gamma
-        yield f"{prefix}.beta", self.beta, self.g_beta
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm")
@@ -164,9 +169,7 @@ class BatchNorm1d:
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("batchnorm.backward called before forward")
-        xhat, inv_std, training, xshape = self._cache
+        xhat, inv_std, training, xshape = self._cached()
         g3 = _batch(grad_out, 3, "batchnorm grad")
         self.g_gamma[...] = (g3 * xhat).sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
@@ -179,7 +182,7 @@ class BatchNorm1d:
         return (scale / m) * (m * g3 - g_sum - xhat * gx_sum)
 
 
-class GraphConv:
+class GraphConv(_Layer):
     """Dense graph convolution: out column i = W1 x_i + W2 (sum_j e[j,i] x_j) + B[:, i].
 
     In matrix form ``W1 X + W2 (X E) + B`` where E is each sample's
@@ -191,28 +194,19 @@ class GraphConv:
     a fixed node count N, and the bias B is per node (an out_dim x N matrix).
     """
 
-    def __init__(self, in_dim: int, out_dim: int, n_nodes: int):
+    PARAMS = ("w1", "w2", "bias")
+
+    def __init__(self, in_dim: int, out_dim: int, n_nodes: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.n_nodes = n_nodes
         self.recip = reciprocal_distance(n_nodes)
-        self.w1 = np.zeros((out_dim, in_dim))
-        self.w2 = np.zeros((out_dim, in_dim))
+        self.w1 = uniform_init(rng, (out_dim, in_dim), in_dim)
+        self.w2 = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.bias = np.zeros((out_dim, n_nodes))
         self.g_w1 = np.zeros_like(self.w1)
         self.g_w2 = np.zeros_like(self.w2)
         self.g_bias = np.zeros_like(self.bias)
-        self._cache = None
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.w1[...] = uniform_init(rng, self.w1.shape, self.in_dim)
-        self.w2[...] = uniform_init(rng, self.w2.shape, self.in_dim)
-        self.bias[...] = 0.0
-
-    def tensors(self, prefix: str):
-        yield f"{prefix}.w1", self.w1, self.g_w1
-        yield f"{prefix}.w2", self.w2, self.g_w2
-        yield f"{prefix}.bias", self.bias, self.g_bias
 
     def _times_adjacency(self, x3: np.ndarray, h: np.ndarray) -> np.ndarray:
         """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h."""
@@ -243,9 +237,7 @@ class GraphConv:
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("graphconv.backward called before forward")
-        x3, h, agg = self._cache
+        x3, h, agg = self._cached()
         g3 = _batch(grad_out, 3, "graphconv grad")
         self.g_w1[...] = np.einsum("bgn,bdn->gd", g3, x3, optimize=True)
         self.g_w2[...] = np.einsum("bgn,bdn->gd", g3, agg, optimize=True)
@@ -256,7 +248,7 @@ class GraphConv:
         return g_x
 
 
-class AttentionPool:
+class AttentionPool(_Layer):
     """Score-weighted pooling of node columns into one feature vector.
 
     Each node gets the scalar score ``s_i = x[:, i] . w + b``; the scores
@@ -265,21 +257,14 @@ class AttentionPool:
     hull of the nodes.
     """
 
-    def __init__(self, feature_dim: int):
+    PARAMS = ("w", "b")
+
+    def __init__(self, feature_dim: int, rng: np.random.Generator):
         self.feature_dim = feature_dim
-        self.w = np.zeros(feature_dim)
+        self.w = uniform_init(rng, feature_dim, feature_dim)
         self.b = np.zeros(1)
         self.g_w = np.zeros_like(self.w)
         self.g_b = np.zeros_like(self.b)
-        self._cache = None
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.w[...] = uniform_init(rng, self.w.shape, self.feature_dim)
-        self.b[...] = 0.0
-
-    def tensors(self, prefix: str):
-        yield f"{prefix}.w", self.w, self.g_w
-        yield f"{prefix}.b", self.b, self.g_b
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
         x3 = _batch(nodes, 3, "attention")
@@ -295,14 +280,10 @@ class AttentionPool:
 
     def attention_weights(self) -> np.ndarray:
         """Softmax weights from the most recent forward call."""
-        if self._cache is None:
-            raise UsageError("attention_weights requested before forward")
-        return self._cache[1]
+        return self._cached()[1]
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("attention.backward called before forward")
-        x3, alpha = self._cache
+        x3, alpha = self._cached()
         g2 = _batch(grad_out, 2, "attention grad")
         u = np.einsum("bfn,bf->bn", x3, g2, optimize=True)  # dL/dalpha
         # softmax Jacobian: dL/ds_i = alpha_i * (u_i - sum_j alpha_j u_j)
@@ -312,14 +293,8 @@ class AttentionPool:
         return g2[:, :, None] * alpha[:, None, :] + self.w[None, :, None] * g_s[:, None, :]
 
 
-class MeanPool:
+class MeanPool(_Layer):
     """Uniform-weight pooling over node columns; the attention-off stand-in."""
-
-    def __init__(self):
-        self._cache = None
-
-    def tensors(self, prefix: str):
-        return iter(())
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
         x3 = _batch(nodes, 3, "meanpool")
@@ -327,32 +302,23 @@ class MeanPool:
         return x3.mean(axis=2)
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("meanpool.backward called before forward")
-        xshape = self._cache
+        xshape = self._cached()
         g2 = _batch(grad_out, 2, "meanpool grad")
         return np.broadcast_to(g2[:, :, None] / xshape[2], xshape).copy()
 
 
-class Dense:
+class Dense(_Layer):
     """Affine map W v + b from a pooled feature vector to class logits."""
 
-    def __init__(self, in_dim: int, out_dim: int):
+    PARAMS = ("w", "b")
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.w = np.zeros((out_dim, in_dim))
+        self.w = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.b = np.zeros(out_dim)
         self.g_w = np.zeros_like(self.w)
         self.g_b = np.zeros_like(self.b)
-        self._cache = None
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.w[...] = uniform_init(rng, self.w.shape, self.in_dim)
-        self.b[...] = 0.0
-
-    def tensors(self, prefix: str):
-        yield f"{prefix}.w", self.w, self.g_w
-        yield f"{prefix}.b", self.b, self.g_b
 
     def forward(self, v, training: bool = False) -> np.ndarray:
         v2 = _batch(v, 2, "dense")
@@ -362,24 +328,17 @@ class Dense:
         return v2 @ self.w.T + self.b[None, :]
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("dense.backward called before forward")
+        v2 = self._cached()
         g2 = _batch(grad_out, 2, "dense grad")
-        self.g_w[...] = g2.T @ self._cache
+        self.g_w[...] = g2.T @ v2
         self.g_b[...] = g2.sum(axis=0)
         return g2 @ self.w
 
 
-class LeakyReLU:
+class LeakyReLU(_Layer):
     """Elementwise leaky rectifier; the derivative at exactly 0 is taken as 1."""
 
     SLOPE = 0.01
-
-    def __init__(self):
-        self._cache = None
-
-    def tensors(self, prefix: str):
-        return iter(())
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -388,8 +347,7 @@ class LeakyReLU:
         return np.where(mask, x, self.SLOPE * x)
 
     def backward(self, grad_out) -> np.ndarray:
-        if self._cache is None:
-            raise UsageError("leaky_relu.backward called before forward")
+        mask = self._cached()
         g = np.asarray(grad_out, dtype=np.float64)
-        return np.where(self._cache, g, self.SLOPE * g)
+        return np.where(mask, g, self.SLOPE * g)
 

@@ -82,26 +82,28 @@ class ModelConfig:
 class GraphClassifier:
     """The network with all parameter tensors, gradient slots, and wiring.
 
-    Parameters are initialized deterministically from ``config.seed``:
-    weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)), biases zero, BN
-    gamma 1 / beta 0 with running stats (0, 1). Every layer is always
-    constructed (so checkpoints have a stable tensor set for a given
-    config) but only the layers in ``chain`` run; the others' gradients
-    stay zero.
+    Parameters are drawn deterministically from one generator seeded with
+    ``config.seed``, layer by layer in construction order (conv1, conv2,
+    gconv, att, fc): weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)),
+    biases zero, BN gamma 1 / beta 0 with running stats (0, 1). Every layer
+    is always constructed (so checkpoints have a stable tensor set for a
+    given config) but only the layers in ``chain`` run; the others'
+    gradients stay zero.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.conv1 = Conv1d(1, config.d_out)
+        rng = np.random.default_rng(config.seed)
+        self.conv1 = Conv1d(1, config.d_out, rng)
         self.bn1 = BatchNorm1d(config.d_out)
         self.act1 = LeakyReLU()
-        self.conv2 = Conv1d(config.d_out, config.d_out)
+        self.conv2 = Conv1d(config.d_out, config.d_out, rng)
         self.bn2 = BatchNorm1d(config.d_out)
         self.act2 = LeakyReLU()
-        self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells)
-        self.att = AttentionPool(config.head_dim)
+        self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng)
+        self.att = AttentionPool(config.head_dim, rng)
         self.mean_pool = MeanPool()
-        self.fc = Dense(config.head_dim, config.n_classes)
+        self.fc = Dense(config.head_dim, config.n_classes, rng)
         flags = config.ablation
         # the (name, layer) pairs that run, in forward order
         self.chain = (
@@ -114,17 +116,9 @@ class GraphClassifier:
         )
         self._logits = None
         self._batch_size = None
-        self.init_params(config.seed)
+        self.step_count = 0
 
     # -- parameters ----------------------------------------------------
-
-    def init_params(self, seed: int) -> None:
-        """Reset all parameters deterministically; same seed, same tensors."""
-        rng = np.random.default_rng(seed)
-        # Fixed draw order keeps initialization reproducible.
-        for _, layer in self._layers():
-            layer.init(rng)
-        self.step_count = 0
 
     def _layers(self):
         yield "conv1", self.conv1
@@ -139,10 +133,6 @@ class GraphClassifier:
         """All trainable (name, param, grad) triples in a fixed order."""
         for prefix, layer in self._layers():
             yield from layer.tensors(prefix)
-
-    def zero_grads(self) -> None:
-        for _, param, grad in self.tensors():
-            grad[...] = 0.0
 
     def state_arrays(self) -> dict:
         """Every persistent tensor (parameters plus BN running stats), by name."""
@@ -184,7 +174,6 @@ class GraphClassifier:
                 f"labels shape {labels.shape} does not match forward batch size {self._batch_size}"
             )
         self._check_labels(labels)
-        self.zero_grads()
         # d(mean NLL over batch)/d(logits) = (softmax - one-hot labels) / batch
         g = softmax(self._logits, axis=1)
         g[np.arange(self._batch_size), labels] -= 1.0

@@ -109,6 +109,18 @@ def test_gradcheck_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(tol, capsys):
+    # a NaN tolerance would pass every check, a zero or negative one fail every check
+    capsys.readouterr()
+    rc = run("gradcheck", "--tol", tol)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert "--tol must be finite and > 0" in err
+
+
 def test_usage_error_exit_code_and_suggestion(capsys):
     rc = run("train", "--data", "x.csv", "--out", "y", "--epcohs", "3")
     assert rc == 2
@@ -325,6 +337,7 @@ def test_diverging_training_exit_code(gen_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4, err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1, err
     assert len(errors[0]) <= 200, errors[0]
@@ -406,7 +419,8 @@ def test_unwritable_output_exit_code(case, gen_dir, run_dir, tmp_path, capsys):
     _assert_one_line_error(rc, capsys.readouterr().err, 2, named.format(**paths))
 
 
-# a seed or learning rate outside its domain: (command line, the name the error must give)
+# a setting outside its domain: (command line, the name the error must give); the run
+# is rejected before it creates --out
 BAD_NUMBERS = {
     "train-seed": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--seed", "-1"],
                    "seed"),
@@ -417,19 +431,25 @@ BAD_NUMBERS = {
                      "learning_rate"),
     "train-lr-inf": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--lr", "inf"],
                      "learning_rate"),
+    "train-ablation": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--ablation", "xy"],
+                       "ablation"),
+    "ablate-seeds": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY, "--seeds", "0"],
+                     "--seeds"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_bad_seed_or_learning_rate_exit_code(case, gen_dir, tmp_path, capsys):
     argv, name = BAD_NUMBERS[case]
+    out = tmp_path / "out"
     capsys.readouterr()
-    rc = run(*(a.format(out=tmp_path / "out", gen=gen_dir) for a in argv))
+    rc = run(*(a.format(out=out, gen=gen_dir) for a in argv))
     err = capsys.readouterr().err
     assert rc == 2, err
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert f"{name} must be" in err
+    assert not out.exists(), sorted(out.iterdir())
 
 
 @pytest.mark.parametrize("command", [

@@ -8,8 +8,7 @@ TOL = 1e-4
 
 
 def test_check_layer_dense(rng):
-    layer = Dense(3, 2)
-    layer.init(rng)
+    layer = Dense(3, 2, rng)
     errs = check_layer(layer, rng.normal(size=(4, 3)), seed=0)
     assert set(errs) == {"w", "b", "input"}
     assert max(errs.values()) < TOL

@@ -59,7 +59,8 @@ def test_adjacency_rejects_bad_shapes():
 
 def _adjacency_product(n_features, n_nodes):
     """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
-    gc = GraphConv(n_features, n_features, n_nodes)
+    gc = GraphConv(n_features, n_features, n_nodes, np.random.default_rng(0))
+    gc.w1[...] = 0.0
     gc.w2[...] = np.eye(n_features)
     return gc
 

@@ -23,27 +23,26 @@ from hrrpgnn.layers import (
 
 def test_conv_worked_example():
     # single channel [1,2,3,4] against taps [1,0,-1], zero pads at both ends
-    conv = Conv1d(1, 1)
+    conv = Conv1d(1, 1, np.random.default_rng(0))
     conv.kernels[0, 0] = [1.0, 0.0, -1.0]
     out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
     np.testing.assert_allclose(out, [[[-2.0, -2.0, -2.0, 3.0]]], atol=1e-15)
 
 
 def test_conv_preserves_length(rng):
-    conv = Conv1d(2, 5)
-    conv.init(rng)
+    conv = Conv1d(2, 5, rng)
     out = conv.forward(rng.normal(size=(1, 2, 33)))
     assert out.shape == (1, 5, 33)
 
 
-def test_conv_needs_kernel_width_positions():
-    conv = Conv1d(1, 1)
+def test_conv_needs_kernel_width_positions(rng):
+    conv = Conv1d(1, 1, rng)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros((1, 1, 2)))
 
 
-def test_conv_channel_mismatch():
-    conv = Conv1d(2, 1)
+def test_conv_channel_mismatch(rng):
+    conv = Conv1d(2, 1, rng)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros((1, 3, 8)))
 
@@ -78,8 +77,8 @@ def test_batchnorm_training_rejects_single_sample():
         bn.forward(np.array([[[1.0, 2.0]]]), training=True)
 
 
-def test_graphconv_worked_example():
-    gc = GraphConv(1, 1, 2)
+def test_graphconv_worked_example(rng):
+    gc = GraphConv(1, 1, 2, rng)
     gc.w1[...] = [[2.0]]
     gc.w2[...] = [[1.0]]
     out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
@@ -88,8 +87,7 @@ def test_graphconv_worked_example():
 
 def test_graphconv_factored_matches_dense(rng):
     """Forward and backward agree with the same layer written on the dense e[i, j] stack."""
-    gc = GraphConv(3, 4, 10)
-    gc.init(rng)
+    gc = GraphConv(3, 4, 10, rng)
     gc.bias[...] = rng.normal(size=gc.bias.shape)
     amps = rng.uniform(0.0, 2.0, size=(5, 10))
     x = rng.normal(size=(5, 3, 10))
@@ -108,7 +106,8 @@ def test_graphconv_factored_matches_dense(rng):
 
 def _adjacency_only(n_features, n_nodes):
     """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
-    gc = GraphConv(n_features, n_features, n_nodes)
+    gc = GraphConv(n_features, n_features, n_nodes, np.random.default_rng(0))
+    gc.w1[...] = 0.0
     gc.w2[...] = np.eye(n_features)
     return gc
 
@@ -136,8 +135,7 @@ def test_graphconv_recovers_dense_adjacency(rng):
 
 def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
     """R is built once with the layer; forward and backward reuse it."""
-    gc = GraphConv(2, 3, 6)
-    gc.init(rng)
+    gc = GraphConv(2, 3, 6, rng)
     np.testing.assert_array_equal(gc.recip, hrrpgnn.layers.reciprocal_distance(6))
 
     def rebuilt(n_cells):
@@ -149,7 +147,7 @@ def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
 
 
 def test_graphconv_shape_mismatches(rng):
-    gc = GraphConv(1, 2, 4)
+    gc = GraphConv(1, 2, 4, rng)
     with pytest.raises(ShapeError):
         # nodes must be batched
         gc.forward(np.zeros((1, 4)), np.ones((1, 4)))
@@ -169,8 +167,8 @@ def test_graphconv_shape_mismatches(rng):
         gc.forward(np.zeros((1, 1, 5)), np.ones((1, 5)))
 
 
-def test_attention_worked_example():
-    att = AttentionPool(1)
+def test_attention_worked_example(rng):
+    att = AttentionPool(1, rng)
     att.w[...] = math.log(3.0)
     out = att.forward(np.array([[[1.0, 3.0]]]))
     np.testing.assert_allclose(att.attention_weights(), [[0.1, 0.9]], atol=1e-12)
@@ -178,16 +176,14 @@ def test_attention_worked_example():
 
 
 def test_attention_weights_sum_to_one(rng):
-    att = AttentionPool(4)
-    att.init(rng)
+    att = AttentionPool(4, rng)
     att.forward(rng.normal(size=(6, 4, 13)))
     alpha = att.attention_weights()
     np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
 
 
 def test_attention_output_in_coordinate_hull(rng):
-    att = AttentionPool(3)
-    att.init(rng)
+    att = AttentionPool(3, rng)
     x = rng.normal(size=(5, 3, 9))
     pooled = att.forward(x)
     assert np.all(pooled >= x.min(axis=2) - 1e-12)
@@ -199,8 +195,8 @@ def test_mean_pool_is_column_mean(rng):
     np.testing.assert_allclose(MeanPool().forward(x), x.mean(axis=2), atol=1e-15)
 
 
-def test_dense_worked_example():
-    fc = Dense(2, 2)
+def test_dense_worked_example(rng):
+    fc = Dense(2, 2, rng)
     fc.w[...] = [[1.0, 1.0], [0.0, 2.0]]
     fc.b[...] = [0.0, 1.0]
     np.testing.assert_array_equal(fc.forward(np.array([[3.0, 4.0]])), [[7.0, 9.0]])
@@ -223,24 +219,24 @@ def test_leaky_relu_values():
 # ---- batching, caching, gradient slots ----------------------------------------
 
 
-def test_layers_reject_unbatched_input():
+def test_layers_reject_unbatched_input(rng):
     """Layers run on batches only; a single unbatched sample is a ShapeError."""
     cases = [
-        (Conv1d(1, 1), (np.zeros((1, 4)),)),
+        (Conv1d(1, 1, rng), (np.zeros((1, 4)),)),
         (BatchNorm1d(1), (np.zeros((1, 4)),)),
-        (GraphConv(1, 1, 4), (np.zeros((1, 4)), np.ones((1, 4)))),
-        (AttentionPool(1), (np.zeros((1, 4)),)),
+        (GraphConv(1, 1, 4, rng), (np.zeros((1, 4)), np.ones((1, 4)))),
+        (AttentionPool(1, rng), (np.zeros((1, 4)),)),
         (MeanPool(), (np.zeros((1, 4)),)),
-        (Dense(1, 1), (np.zeros(1),)),
+        (Dense(1, 1, rng), (np.zeros(1),)),
     ]
     for layer, args in cases:
         with pytest.raises(ShapeError, match="batch"):
             layer.forward(*args)
 
 
-def test_backward_before_forward_raises():
-    for layer in (Conv1d(1, 1), BatchNorm1d(1), GraphConv(1, 1, 3),
-                  AttentionPool(1), MeanPool(), Dense(1, 1), LeakyReLU()):
+def test_backward_before_forward_raises(rng):
+    for layer in (Conv1d(1, 1, rng), BatchNorm1d(1), GraphConv(1, 1, 3, rng),
+                  AttentionPool(1, rng), MeanPool(), Dense(1, 1, rng), LeakyReLU()):
         with pytest.raises(UsageError):
             layer.backward(np.zeros(1))
 
@@ -248,15 +244,12 @@ def test_backward_before_forward_raises():
 def test_gradient_slots_are_filled_in_place(rng):
     """Optimizers capture (param, grad) references once; backward must not rebind."""
     layers = {
-        "conv": Conv1d(2, 3),
+        "conv": Conv1d(2, 3, rng),
         "bn": BatchNorm1d(2),
-        "gconv": GraphConv(2, 3, 5),
-        "att": AttentionPool(2),
-        "fc": Dense(2, 3),
+        "gconv": GraphConv(2, 3, 5, rng),
+        "att": AttentionPool(2, rng),
+        "fc": Dense(2, 3, rng),
     }
-    for layer in layers.values():
-        if hasattr(layer, "init"):
-            layer.init(rng)
     grabbed = {
         name: [(pname, param, grad) for pname, param, grad in layer.tensors(name)]
         for name, layer in layers.items()
@@ -282,14 +275,6 @@ def test_gradient_slots_are_filled_in_place(rng):
             assert param is param2, f"{pname} parameter was rebound"
             assert grad is grad2, f"{pname} gradient slot was rebound"
             assert np.any(grad != 0.0), f"{pname} gradient slot never written"
-
-
-def test_init_keeps_array_identity(rng):
-    conv = Conv1d(1, 2)
-    kern, bias = conv.kernels, conv.bias
-    conv.init(rng)
-    assert conv.kernels is kern and conv.bias is bias
-    assert np.any(kern != 0.0)
 
 
 def test_uniform_init_bounds_and_spread(rng):

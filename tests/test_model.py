@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError, UsageError
+from hrrpgnn.layers import uniform_init
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 
@@ -150,18 +151,32 @@ def test_init_convention():
     assert np.all(np.abs(model.conv2.kernels) <= bound)
 
 
-def test_reinit_resets_after_training_steps(rng, toy_benchmark):
-    model = GraphClassifier(small_config(n_cells=32, n_classes=2))
-    fresh = {name: p.copy() for name, p, _ in model.tensors()}
-    train_ds, _ = toy_benchmark
-    amps = train_ds.amplitude_matrix()[:8]
-    model.forward_batch(amps, training=True)
-    model.backward(train_ds.labels()[:8])
-    for _, p, g in model.tensors():
-        p -= 0.1 * g
-    model.init_params(small_config().seed)
-    for name, p, _ in model.tensors():
-        np.testing.assert_array_equal(p, fresh[name], err_msg=name)
+def test_init_draw_order():
+    """Weights are uniform_init draws from one default_rng(seed), in a fixed order.
+
+    The order is conv1, conv2, gconv (w1 then w2), att, fc for every ablation,
+    whether or not the layer runs; everything else starts at its constant.
+    """
+    for flags in ABLATION_ORDER:
+        for seed in (0, 7):
+            cfg = small_config(ablation=flags, seed=seed)
+            rng = np.random.default_rng(seed)
+            d, g_in, head = cfg.d_out, cfg.gconv_in_dim, cfg.head_dim
+            drawn = {
+                "conv1.kernels": uniform_init(rng, (d, 1, 3), 3),
+                "conv2.kernels": uniform_init(rng, (d, d, 3), 3 * d),
+                "gconv.w1": uniform_init(rng, (cfg.g_out, g_in), g_in),
+                "gconv.w2": uniform_init(rng, (cfg.g_out, g_in), g_in),
+                "att.w": uniform_init(rng, (head,), head),
+                "fc.w": uniform_init(rng, (cfg.n_classes, head), head),
+            }
+            for name, arr in GraphClassifier(cfg).state_arrays().items():
+                where = f"{flags} seed {seed}: {name}"
+                if name in drawn:
+                    np.testing.assert_array_equal(arr, drawn[name], err_msg=where)
+                else:
+                    start = 1.0 if name.endswith(("gamma", "running_var")) else 0.0
+                    assert np.all(arr == start), where
 
 
 # ---- checkpoints -----------------------------------------------------------------
