@@ -31,6 +31,7 @@ from .data import (
     save_class_specs,
     save_csv,
     toy_two_class_specs,
+    write_text,
 )
 from .errors import DataFormatError, HrrpGnnError, UsageError
 from .gradcheck import check_all_ablations, layer_suite, worst_error
@@ -132,9 +133,7 @@ def _merge(defaults: dict, config_path, args) -> dict:
 
 def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
     payload = {"command": command, **resolved}
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text(out_dir / "resolved_config.json", json.dumps(payload, indent=1) + "\n")
 
 
 def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
@@ -243,9 +242,7 @@ def cmd_train(args) -> int:
         metrics = evaluate(model, test_ds)
         print(f"test accuracy {metrics.accuracy:.2f}%  average {metrics.average_accuracy:.2f}%")
         print(format_confusion(metrics))
-        (out_dir / "metrics.json").write_text(
-            json.dumps(metrics.to_dict(), indent=1) + "\n", encoding="utf-8", newline="\n"
-        )
+        write_text(out_dir / "metrics.json", json.dumps(metrics.to_dict(), indent=1) + "\n")
     return 0
 
 
@@ -272,7 +269,7 @@ def cmd_eval(args) -> int:
         print(f"  {name:<12} {acc:6.2f}%")
     print(format_confusion(metrics))
     if args.out is not None:
-        Path(args.out).write_text(_metrics_csv(metrics), encoding="utf-8", newline="\n")
+        write_text(args.out, _metrics_csv(metrics))
         print(f"wrote {args.out}")
     return 0
 
@@ -303,7 +300,7 @@ def cmd_ablate(args) -> int:
     table = ablation_table(results)
     print(table)
     save_ablation_csv(results, out_dir / "ablation.csv")
-    (out_dir / "ablation_table.txt").write_text(table + "\n", encoding="utf-8", newline="\n")
+    write_text(out_dir / "ablation_table.txt", table + "\n")
     resolved["data"] = str(args.data)
     _write_resolved(out_dir, "ablate", resolved)
     failed = [r["flags"] for r in results if r["error"] is not None]

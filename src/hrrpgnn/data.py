@@ -21,6 +21,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -202,6 +203,26 @@ def read_json(path, what: str):
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` atomically: a temp file beside it, then ``os.replace``.
+
+    Readers see the old contents or the new, never a partial file. On failure
+    the old file is left as it was, the temp file is removed, and an
+    ``OSError`` names ``path`` itself.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
 def _manifest_path(path) -> Path:
     return Path(path).with_suffix(".manifest.json")
 
@@ -213,16 +234,14 @@ def save_csv(dataset: Dataset, path) -> None:
     lines = [header]
     for s in dataset.samples:
         lines.append(str(s.label) + "," + ",".join(repr(float(v)) for v in s.amplitudes))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
     manifest = {
         "n_cells": dataset.n_cells,
         "n_classes": dataset.n_classes,
         "class_names": list(dataset.class_names),
         **dataset.manifest,
     }
-    _manifest_path(path).write_text(
-        json.dumps(manifest, indent=1) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text(_manifest_path(path), json.dumps(manifest, indent=1) + "\n")
 
 
 def load_csv(path) -> Dataset:
@@ -322,7 +341,7 @@ def class_spec_from_dict(d: dict) -> SynthClassSpec:
 
 def save_class_specs(specs: list[SynthClassSpec], path) -> None:
     payload = {"classes": [class_spec_to_dict(s) for s in specs]}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_class_specs(path) -> list[SynthClassSpec]:

@@ -25,7 +25,6 @@ only code that touches the adjacency at run time.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError, UsageError
 from .graphgen import reciprocal_distance
@@ -92,27 +91,33 @@ class Conv1d(_Layer):
             raise ShapeError(
                 f"conv1d: input has {x3.shape[1]} channels, kernels expect {self.in_channels}"
             )
-        n = x3.shape[2]
+        b, c, n = x3.shape
         if n < KERNEL_WIDTH:
             raise ShapeError(f"conv1d: need at least {KERNEL_WIDTH} positions, got {n}")
         xp = np.pad(x3, ((0, 0), (0, 0), (1, 1)))
-        windows = sliding_window_view(xp, KERNEL_WIDTH, axis=2)  # (B, C, N, 3)
-        y = np.einsum("ock,bcnk->bon", self.kernels, windows, optimize=True)
+        # im2col: cols[b, c, k, i] = xp[b, c, i + k], so the whole layer is one
+        # (out, 3 in) @ (3 in, N) product per sample; only xp outlives forward
+        cols = np.empty((b, c, KERNEL_WIDTH, n))
+        for k in range(KERNEL_WIDTH):
+            cols[:, :, k, :] = xp[:, :, k : k + n]
+        y = np.matmul(
+            self.kernels.reshape(self.out_channels, c * KERNEL_WIDTH),
+            cols.reshape(b, c * KERNEL_WIDTH, n),
+        )
         y += self.bias[None, :, None]
-        self._cache = (windows, x3.shape)
+        self._cache = xp
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        windows, xshape = self._cached()
+        xp = self._cached()
         g3 = _batch(grad_out, 3, "conv1d grad")
-        self.g_kernels[...] = np.einsum("bon,bcnk->ock", g3, windows, optimize=True)
+        n = xp.shape[2] - 2
         self.g_bias[...] = g3.sum(axis=(0, 2))
-        b, c, n = xshape
-        g_xp = np.zeros((b, c, n + 2))
+        g_xp = np.zeros_like(xp)
         for k in range(KERNEL_WIDTH):
-            g_xp[:, :, k : k + n] += np.einsum(
-                "oc,bon->bcn", self.kernels[:, :, k], g3, optimize=True
-            )
+            tap = xp[:, :, k : k + n]
+            self.g_kernels[:, :, k] = np.matmul(g3, tap.transpose(0, 2, 1)).sum(axis=0)
+            g_xp[:, :, k : k + n] += np.matmul(self.kernels[:, :, k].T, g3)
         return g_xp[:, :, 1 : n + 1]
 
 
@@ -163,8 +168,10 @@ class BatchNorm1d(_Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x3 - mean[None, :, None]) * inv_std[None, :, None]
-        y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
+        xhat = x3 - mean[None, :, None]
+        xhat *= inv_std[None, :, None]
+        y = self.gamma[None, :, None] * xhat
+        y += self.beta[None, :, None]
         self._cache = (xhat, inv_std, training, x3.shape)
         return y
 
@@ -209,8 +216,13 @@ class GraphConv(_Layer):
         self.g_bias = np.zeros_like(self.bias)
 
     def _times_adjacency(self, x3: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h."""
-        out = (x3 * h) @ self.recip
+        """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h.
+
+        R is shared by every sample, so the batch and feature axes fold into
+        the rows of a single (batch * features, N) @ (N, N) product.
+        """
+        b, c, n = x3.shape
+        out = ((x3 * h).reshape(b * c, n) @ self.recip).reshape(b, c, n)
         out *= h
         return out
 
@@ -239,8 +251,8 @@ class GraphConv(_Layer):
     def backward(self, grad_out) -> np.ndarray:
         x3, h, agg = self._cached()
         g3 = _batch(grad_out, 3, "graphconv grad")
-        self.g_w1[...] = np.einsum("bgn,bdn->gd", g3, x3, optimize=True)
-        self.g_w2[...] = np.einsum("bgn,bdn->gd", g3, agg, optimize=True)
+        self.g_w1[...] = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
+        self.g_w2[...] = np.matmul(g3, agg.transpose(0, 2, 1)).sum(axis=0)
         self.g_bias[...] = g3.sum(axis=0)
         g_x = np.matmul(self.w1.T, g3)
         # E is symmetric, so G @ E^T is the same factored product
@@ -342,9 +354,10 @@ class LeakyReLU(_Layer):
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        mask = x >= 0.0
-        self._cache = mask
-        return np.where(mask, x, self.SLOPE * x)
+        self._cache = x >= 0.0
+        # for 0 < SLOPE < 1 this equals where(x >= 0, x, SLOPE * x) bit for bit,
+        # signed zeros, NaN and infinities included
+        return np.maximum(x, self.SLOPE * x)
 
     def backward(self, grad_out) -> np.ndarray:
         mask = self._cached()

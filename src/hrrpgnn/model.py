@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import check_seed, read_json
+from .data import check_seed, read_json, write_text
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 from .layers import (
     AttentionPool,
@@ -216,9 +216,7 @@ class GraphClassifier:
             "step": self.step_count,
             "tensors": tensors,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        write_text(path, json.dumps(payload, indent=1) + "\n")
 
     @classmethod
     def load(cls, path) -> "GraphClassifier":

@@ -12,11 +12,10 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, check_seed
+from .data import Dataset, check_seed, write_text
 from .errors import ConfigError, NumericError
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
@@ -202,7 +201,7 @@ def save_epoch_log(log: list[dict], path) -> None:
             f"{row['epoch']},{row['train_loss']:.6f},"
             f"{cell(row['val_accuracy'], '.2f')},{cell(row['val_macro_f1'], '.2f')}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -395,4 +394,4 @@ def save_ablation_csv(results: list[dict], path) -> None:
                 f"{row['accuracy'][i]:.2f},{row['average_accuracy'][i]:.2f},"
                 f"{row['macro_f1'][i]:.2f},"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -17,6 +17,7 @@ from hrrpgnn.data import (
     save_csv,
     synth_generate,
     toy_two_class_specs,
+    write_text,
 )
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError
 
@@ -277,3 +278,21 @@ def test_make_benchmark_test_size_override():
         toy_two_class_specs(16), per_class=4, n_cells=16, seed=0, test_per_class=2
     )
     assert len(train) == 8 and len(test) == 4
+
+
+def test_write_text_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text(path, "old\n")
+    write_text(path, "new,contents\n")
+    assert path.read_bytes() == b"new,contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_text_failure_mid_write_leaves_old_file(tmp_path):
+    """A write that dies inside the temp file leaves the old file and no temp file behind."""
+    path = tmp_path / "train.csv"
+    write_text(path, "label,h_0\n0,1.0\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "label,h_0\n" * 1000 + "\ud800")  # a lone surrogate has no UTF-8 form
+    assert path.read_bytes() == b"label,h_0\n0,1.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]

@@ -1,7 +1,11 @@
 from dataclasses import replace
 
+import numpy as np
+import pytest
+from oracle_reference import conv1d as oracle_conv1d
+
 from hrrpgnn.gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
-from hrrpgnn.layers import Dense
+from hrrpgnn.layers import Conv1d, Dense
 from hrrpgnn.model import ModelConfig
 
 TOL = 1e-4
@@ -11,6 +15,21 @@ def test_check_layer_dense(rng):
     layer = Dense(3, 2, rng)
     errs = check_layer(layer, rng.normal(size=(4, 3)), seed=0)
     assert set(errs) == {"w", "b", "input"}
+    assert max(errs.values()) < TOL
+
+
+@pytest.mark.parametrize("in_channels", [1, 3])
+def test_conv1d_matches_oracle_and_gradients(in_channels, rng):
+    """The network's two conv shapes: one input channel (conv1) and several (conv2)."""
+    conv = Conv1d(in_channels, 4, rng)
+    conv.bias[...] = rng.normal(size=4)
+    x = rng.normal(size=(3, in_channels, 9))
+    out = conv.forward(x)
+    for b in range(3):
+        expected = oracle_conv1d(x[b].tolist(), conv.kernels.tolist(), conv.bias.tolist())
+        np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
+    errs = check_layer(conv, x, seed=in_channels)
+    assert set(errs) == {"kernels", "bias", "input"}
     assert max(errs.values()) < TOL
 
 

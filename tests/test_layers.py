@@ -216,6 +216,19 @@ def test_leaky_relu_values():
     np.testing.assert_array_equal(out, [-2.0 * LeakyReLU.SLOPE, 0.0, 3.0])
 
 
+def test_leaky_relu_edge_values():
+    """Signed zeros, NaN and infinities follow the where(x >= 0, x, SLOPE * x) definition."""
+    x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 3.0])
+    act = LeakyReLU()
+    out = act.forward(x)
+    assert out.tobytes() == np.where(x >= 0, x, LeakyReLU.SLOPE * x).tobytes()
+    assert np.signbit(out[0]) and not np.signbit(out[1])
+    assert np.isnan(out[2])
+    assert out[3] == np.inf and out[4] == -np.inf
+    g = np.array([1.0, -1.0, 2.0, -0.5, 0.5, -0.0, np.nan])
+    assert act.backward(g).tobytes() == np.where(x >= 0, g, LeakyReLU.SLOPE * g).tobytes()
+
+
 # ---- batching, caching, gradient slots ----------------------------------------
 
 

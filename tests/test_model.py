@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -200,6 +202,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     clone_path = tmp_path / "clone.json"
     clone.save(clone_path)
     assert clone_path.read_bytes() == path.read_bytes()
+
+
+def test_failed_save_leaves_checkpoint_unchanged(tmp_path, monkeypatch):
+    """A save that fails after its temp file is written keeps the old checkpoint intact."""
+    path = tmp_path / "model.json"
+    GraphClassifier(small_config(seed=1)).save(path)
+    before = path.read_bytes()
+
+    def full_disk(src, dst):
+        assert os.path.exists(src), "the temp file is written before the replace"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(src))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError) as failed:
+        GraphClassifier(small_config(seed=2)).save(path)
+    assert failed.value.errno == errno.ENOSPC
+    assert failed.value.filename == str(path)  # the target, not the temp file
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_checkpoint_preserves_predictions(tmp_path, rng):
