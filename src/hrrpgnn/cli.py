@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -31,6 +30,7 @@ from .data import (
     save_class_specs,
     save_csv,
     toy_two_class_specs,
+    write_json,
     write_text,
 )
 from .errors import DataFormatError, HrrpGnnError, UsageError
@@ -133,7 +133,7 @@ def _merge(defaults: dict, config_path, args) -> dict:
 
 def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
     payload = {"command": command, **resolved}
-    write_text(out_dir / "resolved_config.json", json.dumps(payload, indent=1) + "\n")
+    write_json(out_dir / "resolved_config.json", payload)
 
 
 def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
@@ -242,7 +242,7 @@ def cmd_train(args) -> int:
         metrics = evaluate(model, test_ds)
         print(f"test accuracy {metrics.accuracy:.2f}%  average {metrics.average_accuracy:.2f}%")
         print(format_confusion(metrics))
-        write_text(out_dir / "metrics.json", json.dumps(metrics.to_dict(), indent=1) + "\n")
+        write_json(out_dir / "metrics.json", metrics.to_dict())
     return 0
 
 

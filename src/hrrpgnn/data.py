@@ -96,18 +96,20 @@ def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
             raise ConfigError(
                 f"class {spec.name!r}: scatterer position {sc.position} outside [0, {n_cells})"
             )
-        if sc.amplitude <= 0.0:
-            raise ConfigError(f"class {spec.name!r}: scatterer amplitude must be > 0")
-        if sc.width <= 0.0:
-            raise ConfigError(f"class {spec.name!r}: scatterer width must be > 0")
-    if spec.position_jitter < 0.0:
-        raise ConfigError(f"class {spec.name!r}: position_jitter must be >= 0")
+        # NaN fails every comparison below, so each check rejects it
+        if not 0.0 < sc.amplitude < np.inf:
+            raise ConfigError(f"class {spec.name!r}: scatterer amplitude must be finite and > 0")
+        if not 0.0 < sc.width < np.inf:
+            raise ConfigError(f"class {spec.name!r}: scatterer width must be finite and > 0")
+    # a shift of a whole profile length moves every scatterer off the grid
+    if not 0.0 <= spec.position_jitter < n_cells:
+        raise ConfigError(f"class {spec.name!r}: position_jitter must lie in [0, {n_cells})")
     if not 0.0 <= spec.amplitude_jitter < 1.0:
         raise ConfigError(f"class {spec.name!r}: amplitude_jitter must lie in [0, 1)")
     if not 0.0 <= spec.dropout_prob < 1.0:
         raise ConfigError(f"class {spec.name!r}: dropout_prob must lie in [0, 1)")
-    if spec.noise_sigma < 0.0:
-        raise ConfigError(f"class {spec.name!r}: noise_sigma must be >= 0")
+    if not 0.0 <= spec.noise_sigma < np.inf:
+        raise ConfigError(f"class {spec.name!r}: noise_sigma must be finite and >= 0")
 
 
 def check_seed(name: str, seed) -> None:
@@ -223,6 +225,11 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON through ``write_text``; a NaN or infinity is a ValueError."""
+    write_text(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
+
+
 def _manifest_path(path) -> Path:
     return Path(path).with_suffix(".manifest.json")
 
@@ -241,7 +248,7 @@ def save_csv(dataset: Dataset, path) -> None:
         "class_names": list(dataset.class_names),
         **dataset.manifest,
     }
-    write_text(_manifest_path(path), json.dumps(manifest, indent=1) + "\n")
+    write_json(_manifest_path(path), manifest)
 
 
 def load_csv(path) -> Dataset:
@@ -341,7 +348,7 @@ def class_spec_from_dict(d: dict) -> SynthClassSpec:
 
 def save_class_specs(specs: list[SynthClassSpec], path) -> None:
     payload = {"classes": [class_spec_to_dict(s) for s in specs]}
-    write_text(path, json.dumps(payload, indent=1) + "\n")
+    write_json(path, payload)
 
 
 def load_class_specs(path) -> list[SynthClassSpec]:

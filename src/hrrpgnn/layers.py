@@ -132,7 +132,7 @@ class BatchNorm1d(_Layer):
     Eval mode standardizes with the running statistics alone. Population
     (biased) variance is used both for normalization and for the running
     update so the backward pass differentiates exactly the forward
-    expression.
+    expression; backward needs a training-mode forward.
     """
 
     EPS = 1e-5
@@ -177,12 +177,12 @@ class BatchNorm1d(_Layer):
 
     def backward(self, grad_out) -> np.ndarray:
         xhat, inv_std, training, xshape = self._cached()
+        if not training:
+            raise UsageError("batchnorm: backward needs a training-mode forward")
         g3 = _batch(grad_out, 3, "batchnorm grad")
         self.g_gamma[...] = (g3 * xhat).sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
         scale = (self.gamma * inv_std)[None, :, None]
-        if not training:
-            return g3 * scale
         m = xshape[0] * xshape[2]
         g_sum = g3.sum(axis=(0, 2), keepdims=True)
         gx_sum = (g3 * xhat).sum(axis=(0, 2), keepdims=True)
@@ -362,5 +362,6 @@ class LeakyReLU(_Layer):
     def backward(self, grad_out) -> np.ndarray:
         mask = self._cached()
         g = np.asarray(grad_out, dtype=np.float64)
-        return np.where(mask, g, self.SLOPE * g)
+        # where(mask, g, SLOPE * g) bit for bit (g * 1.0 is g), at about half the cost
+        return g * np.where(mask, 1.0, self.SLOPE)
 

@@ -19,12 +19,11 @@ enabled stage produces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import check_seed, read_json, write_text
+from .data import check_seed, read_json, write_json
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 from .layers import (
     AttentionPool,
@@ -43,6 +42,10 @@ CHECKPOINT_VERSION = 2
 
 # The seven legal configurations, in the canonical reporting order.
 ABLATION_ORDER = ("a", "b", "c", "ab", "ac", "bc", "abc")
+
+# rows per pass through the chain in eval mode: the training batch size, small
+# enough that each layer's temporaries stay in cache
+_EVAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ class GraphClassifier:
             + [("fc", self.fc)]
         )
         self._logits = None
-        self._batch_size = None
         self.step_count = 0
 
     # -- parameters ----------------------------------------------------
@@ -146,7 +148,16 @@ class GraphClassifier:
     # -- forward / backward ---------------------------------------------
 
     def forward_batch(self, amplitudes: np.ndarray, training: bool = False) -> np.ndarray:
-        """Log class probabilities for a (batch x n_cells) amplitude stack."""
+        """Log class probabilities for a (batch x n_cells) amplitude stack.
+
+        Training mode runs the whole batch through the chain in one pass,
+        because BatchNorm needs its batch statistics, and keeps the logits
+        for ``backward``. Eval mode is exact per sample, so it runs the rows
+        ``_EVAL_BLOCK`` at a time: each row gets what its block alone would
+        give. The layer caches then hold only the last block, so
+        ``backward`` is refused until the next training-mode call.
+        ``att.attention_weights()`` after an eval pass covers the last block only.
+        """
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 2:
             raise ShapeError(f"expected (batch, n_cells) amplitudes, got shape {amps.shape}")
@@ -154,30 +165,42 @@ class GraphClassifier:
             raise ShapeError(
                 f"samples have {amps.shape[1]} cells, model is configured for {self.config.n_cells}"
             )
+        if training:
+            self._logits = self._run_chain(amps, training=True)
+            return log_softmax(self._logits, axis=1)
+        self._logits = None
+        # an empty batch still makes one (empty) pass
+        logits = [
+            self._run_chain(amps[i : i + _EVAL_BLOCK], training=False)
+            for i in range(0, max(len(amps), 1), _EVAL_BLOCK)
+        ]
+        return log_softmax(np.concatenate(logits), axis=1)
+
+    def _run_chain(self, amps: np.ndarray, training: bool) -> np.ndarray:
+        """Logits of the enabled layers for a checked (batch, n_cells) stack."""
         x = amps[:, None, :]
         for name, layer in self.chain:
             if name == "gconv":  # the amplitudes define the graph conv's adjacency
                 x = layer.forward(x, amps, training)
             else:
                 x = layer.forward(x, training)
-        self._logits = x
-        self._batch_size = amps.shape[0]
-        return log_softmax(x, axis=1)
+        return x
 
     def backward(self, labels: np.ndarray) -> None:
         """Fill gradient slots with d(mean NLL)/d(params) for the cached forward."""
         if self._logits is None:
-            raise UsageError("backward called before forward")
+            raise UsageError("backward needs a training-mode forward")
+        batch_size = self._logits.shape[0]
         labels = np.asarray(labels)
-        if labels.shape != (self._batch_size,):
+        if labels.shape != (batch_size,):
             raise UsageError(
-                f"labels shape {labels.shape} does not match forward batch size {self._batch_size}"
+                f"labels shape {labels.shape} does not match forward batch size {batch_size}"
             )
         self._check_labels(labels)
         # d(mean NLL over batch)/d(logits) = (softmax - one-hot labels) / batch
         g = softmax(self._logits, axis=1)
-        g[np.arange(self._batch_size), labels] -= 1.0
-        g /= self._batch_size
+        g[np.arange(batch_size), labels] -= 1.0
+        g /= batch_size
         for _, layer in reversed(self.chain):
             g = layer.backward(g)
 
@@ -216,7 +239,7 @@ class GraphClassifier:
             "step": self.step_count,
             "tensors": tensors,
         }
-        write_text(path, json.dumps(payload, indent=1) + "\n")
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "GraphClassifier":

@@ -3,9 +3,9 @@
 Pure Python scalar loops, no numpy. This exists only as a test oracle:
 it recomputes the whole pipeline from its definition (width-3 padded
 cross-correlation, eval-mode batchnorm, leaky rectifier, amplitude-graph
-convolution, softmax attention pooling, dense head, log-softmax) so the
-vectorized implementation can be checked value-for-value against an
-independent transcription. Parameters arrive as nested Python lists.
+convolution, softmax attention or mean pooling, dense head, log-softmax)
+so the vectorized implementation can be checked value-for-value against
+an independent transcription. Parameters arrive as nested Python lists.
 """
 
 import math
@@ -87,22 +87,34 @@ def log_softmax(logits):
     return [v - m - z for v in logits]
 
 
-def reference_log_probs(state, amps, leaky_slope, bn_eps):
+def mean_pool(x):
+    return [sum(row) / len(row) for row in x]
+
+
+def reference_log_probs(state, amps, leaky_slope, bn_eps, ablation="abc"):
     """Full-pipeline log probabilities for one amplitude vector.
 
     ``state`` holds the model tensors as nested lists under the same names
-    the implementation uses for its checkpoints.
+    the implementation uses for its checkpoints. ``ablation`` names the
+    enabled modules: a disabled module drops out of the pipeline, and
+    attention off means mean pooling.
     """
     x = [list(amps)]
-    x = conv1d(x, state["conv1.kernels"], state["conv1.bias"])
-    x = batchnorm_eval(x, state["bn1.gamma"], state["bn1.beta"],
-                       state["bn1.running_mean"], state["bn1.running_var"], bn_eps)
-    x = leaky_relu(x, leaky_slope)
-    x = conv1d(x, state["conv2.kernels"], state["conv2.bias"])
-    x = batchnorm_eval(x, state["bn2.gamma"], state["bn2.beta"],
-                       state["bn2.running_mean"], state["bn2.running_var"], bn_eps)
-    x = leaky_relu(x, leaky_slope)
-    x = graph_conv(x, adjacency(amps), state["gconv.w1"], state["gconv.w2"], state["gconv.bias"])
-    pooled = attention_pool(x, state["att.w"], state["att.b"][0])
+    if "a" in ablation:
+        x = conv1d(x, state["conv1.kernels"], state["conv1.bias"])
+        x = batchnorm_eval(x, state["bn1.gamma"], state["bn1.beta"],
+                           state["bn1.running_mean"], state["bn1.running_var"], bn_eps)
+        x = leaky_relu(x, leaky_slope)
+        x = conv1d(x, state["conv2.kernels"], state["conv2.bias"])
+        x = batchnorm_eval(x, state["bn2.gamma"], state["bn2.beta"],
+                           state["bn2.running_mean"], state["bn2.running_var"], bn_eps)
+        x = leaky_relu(x, leaky_slope)
+    if "b" in ablation:
+        x = graph_conv(x, adjacency(amps), state["gconv.w1"], state["gconv.w2"],
+                       state["gconv.bias"])
+    if "c" in ablation:
+        pooled = attention_pool(x, state["att.w"], state["att.b"][0])
+    else:
+        pooled = mean_pool(x)
     logits = dense(pooled, state["fc.w"], state["fc.b"])
     return log_softmax(logits)

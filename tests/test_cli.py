@@ -452,6 +452,38 @@ def test_bad_seed_or_learning_rate_exit_code(case, gen_dir, tmp_path, capsys):
     assert not out.exists(), sorted(out.iterdir())
 
 
+# a class-spec number outside its domain: (the field, its value); the spec file carries
+# NaN and Infinity as Python's json writes them
+BAD_SPEC_NUMBERS = {
+    "noise-sigma-nan": ("noise_sigma", float("nan")),
+    "noise-sigma-inf": ("noise_sigma", float("inf")),
+    "position-jitter-1e308": ("position_jitter", 1e308),
+    "position-jitter-nan": ("position_jitter", float("nan")),
+    "width-inf": ("width", float("inf")),
+    "amplitude-nan": ("amplitude", float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_NUMBERS))
+def test_bad_class_spec_number_exit_code(case, tmp_path, capsys):
+    field, value = BAD_SPEC_NUMBERS[case]
+    scatterer = {"position": 4.0, "amplitude": 1.0, "width": 1.0}
+    spec = {"name": "x", "position_jitter": 1.0, "noise_sigma": 0.05, "scatterers": [scatterer]}
+    (scatterer if field in scatterer else spec)[field] = value
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps({"classes": [spec]}), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run("gen-data", "--spec", str(path), "--n-cells", "16", "--per-class", "2",
+             "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert f"{field} must" in err
+    assert not out.exists(), sorted(out.iterdir())
+
+
 @pytest.mark.parametrize("command", [
     ["train", "--epochs", "2"],
     ["ablate", "--epochs", "1", "--seeds", "1"],

@@ -17,6 +17,7 @@ from hrrpgnn.data import (
     save_csv,
     synth_generate,
     toy_two_class_specs,
+    write_json,
     write_text,
 )
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError
@@ -69,6 +70,23 @@ def test_synth_validation():
     off_grid = [SynthClassSpec("x", (ScattererSpec(99.0, 1.0, 1.0),))]
     with pytest.raises(ConfigError):
         synth_generate(off_grid, per_class=1, n_cells=16, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+    ("position_jitter", float("nan")), ("position_jitter", 1e308), ("position_jitter", 16.0),
+    ("amplitude", float("nan")), ("amplitude", float("inf")),
+    ("width", float("nan")), ("width", float("inf")),
+])
+def test_synth_rejects_non_finite_spec_numbers(field, value):
+    """NaN fails every comparison, so each bound is written to reject it."""
+    if field in ("amplitude", "width"):
+        spec = SynthClassSpec("x", (ScattererSpec(**{"position": 4.0, "amplitude": 1.0,
+                                                     "width": 1.0, field: value}),))
+    else:
+        spec = SynthClassSpec("x", (ScattererSpec(4.0, 1.0, 1.0),), **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must"):
+        synth_generate([spec], per_class=1, n_cells=16, seed=0)
 
 
 # ---- normalization ----------------------------------------------------------------
@@ -296,3 +314,14 @@ def test_write_text_failure_mid_write_leaves_old_file(tmp_path):
         write_text(path, "label,h_0\n" * 1000 + "\ud800")  # a lone surrogate has no UTF-8 form
     assert path.read_bytes() == b"label,h_0\n0,1.0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "metrics.json"
+    write_json(path, {"accuracy": 1.5})
+    assert json.loads(path.read_text(encoding="utf-8")) == {"accuracy": 1.5}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"accuracy": [bad]})
+    assert json.loads(path.read_text(encoding="utf-8")) == {"accuracy": 1.5}
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]

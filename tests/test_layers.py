@@ -37,6 +37,7 @@ def test_conv_preserves_length(rng):
 
 def test_conv_needs_kernel_width_positions(rng):
     conv = Conv1d(1, 1, rng)
+    assert conv.forward(np.ones((1, 1, 3))).shape == (1, 1, 3)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros((1, 1, 2)))
 
@@ -61,6 +62,12 @@ def test_batchnorm_running_stats_update():
     bn.forward(np.array([[[1.0]], [[3.0]]]), training=True)
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
+    # a second step from non-trivial statistics: batch mean 4, variance 9
+    bn.running_mean[...] = 0.5
+    bn.running_var[...] = 2.0
+    bn.forward(np.array([[[1.0]], [[7.0]]]), training=True)
+    np.testing.assert_allclose(bn.running_mean, [0.9 * 0.5 + 0.1 * 4.0])
+    np.testing.assert_allclose(bn.running_var, [0.9 * 2.0 + 0.1 * 9.0])
 
 
 def test_batchnorm_eval_uses_running_stats():
@@ -69,6 +76,13 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_var[...] = 4.0
     out = bn.forward(np.array([[[7.0]]]), training=False)
     np.testing.assert_allclose(out, [[[2.0 / math.sqrt(4.0 + 1e-5)]]], atol=1e-12)
+
+
+def test_batchnorm_backward_needs_training_forward():
+    bn = BatchNorm1d(1)
+    bn.forward(np.ones((2, 1, 3)), training=False)
+    with pytest.raises(UsageError, match="training-mode forward"):
+        bn.backward(np.ones((2, 1, 3)))
 
 
 def test_batchnorm_training_rejects_single_sample():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError, UsageError
-from hrrpgnn.layers import uniform_init
+from hrrpgnn.layers import BatchNorm1d, LeakyReLU, uniform_init
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 
@@ -105,18 +105,79 @@ def test_loss_batch_is_mean_nll(rng):
 
 def test_loss_rejects_out_of_range_labels(rng):
     model = GraphClassifier(small_config())
-    lp = model.forward_batch(rng.uniform(size=(2, 12)))
+    lp = model.forward_batch(rng.uniform(size=(2, 12)), training=True)
     with pytest.raises(UsageError):
         model.loss_batch(lp, np.array([0, 3]))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="labels must lie"):
         model.backward(np.array([-1, 0]))
 
 
 def test_backward_needs_matching_batch(rng):
     model = GraphClassifier(small_config())
-    model.forward_batch(rng.uniform(size=(4, 12)))
-    with pytest.raises(UsageError):
+    model.forward_batch(rng.uniform(size=(4, 12)), training=True)
+    with pytest.raises(UsageError, match="batch size 4"):
         model.backward(np.array([0, 1]))
+
+
+def test_backward_needs_a_training_mode_forward(rng):
+    model = GraphClassifier(small_config())
+    with pytest.raises(UsageError, match="training-mode forward"):
+        model.backward(np.zeros(70, dtype=np.int64))
+    model.forward_batch(rng.uniform(size=(70, 12)), training=True)
+    model.forward_batch(rng.uniform(size=(70, 12)))  # eval mode drops the training cache
+    with pytest.raises(UsageError, match="training-mode forward"):
+        model.backward(np.zeros(70, dtype=np.int64))
+
+
+def _pinned_model(flags: str) -> GraphClassifier:
+    """A 16-cell model with every tensor, BN running stats included, set to arbitrary values."""
+    model = GraphClassifier(small_config(n_cells=16, ablation=flags))
+    rng = np.random.default_rng(2024)
+    for name, arr in sorted(model.state_arrays().items()):
+        if name.endswith("running_var"):
+            arr[...] = rng.uniform(0.5, 1.5, size=arr.shape)
+        else:
+            arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
+    return model
+
+
+@pytest.mark.parametrize("rows", [70, 33])  # blocks of 32 + 32 + 6, and 32 + 1
+@pytest.mark.parametrize("flags", ABLATION_ORDER)
+def test_eval_forward_runs_in_blocks_of_32(flags, rows):
+    from oracle_reference import reference_log_probs
+
+    model = _pinned_model(flags)
+    amps = np.abs(np.random.default_rng(rows).normal(size=(rows, 16)))
+    got = model.forward_batch(amps)
+    pieces = [model.forward_batch(amps[i : i + 32]) for i in range(0, rows, 32)]
+    np.testing.assert_array_equal(got, np.concatenate(pieces))
+    state = {name: arr.tolist() for name, arr in model.state_arrays().items()}
+    want = np.array([
+        reference_log_probs(state, row.tolist(), LeakyReLU.SLOPE, BatchNorm1d.EPS, flags)
+        for row in amps
+    ])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_sizes_by_mode(rng, monkeypatch):
+    """Eval mode feeds the chain 32 rows at a time; training mode the whole batch at once."""
+    model = GraphClassifier(small_config())
+    seen = []
+    forward = model.fc.forward
+
+    def spy(v, training=False):
+        seen.append(len(v))
+        return forward(v, training)
+
+    monkeypatch.setattr(model.fc, "forward", spy)
+    model.forward_batch(rng.uniform(size=(70, 12)))
+    assert seen == [32, 32, 6]
+    seen.clear()
+    model.forward_batch(rng.uniform(size=(70, 12)), training=True)
+    assert seen == [70]
+    seen.clear()
+    assert model.forward_batch(np.zeros((0, 12))).shape == (0, 3)
+    assert seen == [0]
 
 
 def test_predict_batch_argmax(rng):
