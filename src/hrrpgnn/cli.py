@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -288,6 +289,7 @@ def cmd_ablate(args) -> int:
     train_ds = load_csv(data_dir / "train.csv")
     test_ds = load_csv(data_dir / "test.csv")
     base = _model_config(resolved, train_ds.n_cells, train_ds.n_classes)
+    GraphClassifier(base)  # widths too large to allocate fail here, not in every row
     tc = _train_config(resolved)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
@@ -416,8 +418,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # a diverging run is reported once, by numerics' finiteness check
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a diverging run is reported once, by numerics' finiteness check, and a
+        # warning is one "warning:" line, without the source line Python adds
+        with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+              warnings.catch_warnings()):
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
     except HrrpGnnError as exc:
         print(f"error: {exc}", file=sys.stderr)

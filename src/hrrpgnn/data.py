@@ -91,19 +91,23 @@ class Dataset:
 def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
     if not spec.scatterers:
         raise ConfigError(f"class {spec.name!r} has no scatterers")
+    # NaN fails every comparison below, so each check rejects it
+    # a shift of a whole profile length moves every scatterer off the grid
+    if not 0.0 <= spec.position_jitter < n_cells:
+        raise ConfigError(f"class {spec.name!r}: position_jitter must lie in [0, {n_cells})")
     for sc in spec.scatterers:
         if not 0.0 <= sc.position < n_cells:
             raise ConfigError(
                 f"class {spec.name!r}: scatterer position {sc.position} outside [0, {n_cells})"
             )
-        # NaN fails every comparison below, so each check rejects it
         if not 0.0 < sc.amplitude < np.inf:
             raise ConfigError(f"class {spec.name!r}: scatterer amplitude must be finite and > 0")
-        if not 0.0 < sc.width < np.inf:
-            raise ConfigError(f"class {spec.name!r}: scatterer width must be finite and > 0")
-    # a shift of a whole profile length moves every scatterer off the grid
-    if not 0.0 <= spec.position_jitter < n_cells:
-        raise ConfigError(f"class {spec.name!r}: position_jitter must lie in [0, {n_cells})")
+        # (n - p)**2 / (2 w**2) must be finite at every cell n and jittered position p
+        reach = max(sc.position, n_cells - 1 - sc.position) + spec.position_jitter
+        two_w2 = 2.0 * sc.width * sc.width
+        if not (sc.width > 0.0 and 0.0 < two_w2 < np.inf and reach * reach / two_w2 < np.inf):
+            raise ConfigError(f"class {spec.name!r}: scatterer width must be > 0 and keep the "
+                              f"pulse finite on {n_cells} cells, got {sc.width!r}")
     if not 0.0 <= spec.amplitude_jitter < 1.0:
         raise ConfigError(f"class {spec.name!r}: amplitude_jitter must lie in [0, 1)")
     if not 0.0 <= spec.dropout_prob < 1.0:

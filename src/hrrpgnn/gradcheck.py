@@ -76,7 +76,6 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
     def f():
         return float(np.sum(layer.forward(*args, training=True) * r))
 
-    f()
     g_in = layer.backward(r)
     results = {}
     for name, param, grad in layer.tensors(""):

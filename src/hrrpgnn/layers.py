@@ -3,16 +3,18 @@
 Every layer follows the same contract, kept in ``_Layer``. A layer is
 ready to use once constructed: the layers with weights (Conv1d, GraphConv,
 AttentionPool, Dense) take the caller's generator as their last argument
-and draw the weights from it with ``uniform_init``, in ``PARAMS`` order;
-biases start at zero. ``PARAMS`` names the parameter arrays in checkpoint
-order, and the gradient slot of parameter ``p`` is the same-shaped array
-``g_p``. ``forward`` computes the
-layer function and caches whatever the analytic ``backward`` needs;
-``backward`` takes the upstream gradient, overwrites every gradient slot
-in place (optimizers hold references to them) and returns the gradient
-with respect to the layer input. Gradients are hand-derived from the
-forward semantics, not traced, and ``gradcheck.finite_diff_check`` is the
-oracle used to validate them.
+and draw the weights from it with ``uniform_init``, in ``PARAMS`` order.
+Only GraphConv and Dense carry a bias, which starts at zero; a bias that
+the next operation cancels (Conv1d's before BatchNorm, an attention score
+before the softmax) is left out. ``PARAMS`` names the parameter arrays in
+checkpoint order, and the gradient slot of parameter ``p`` is the
+same-shaped array ``g_p``. ``forward`` computes the layer function and
+caches whatever the analytic ``backward`` needs; ``backward`` takes the
+upstream gradient, overwrites every gradient slot in place (optimizers
+hold references to them) and returns the gradient with respect to the
+layer input. Gradients are hand-derived from the forward semantics, not
+traced, and ``gradcheck.finite_diff_check`` is the oracle used to
+validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
@@ -70,10 +72,11 @@ class Conv1d(_Layer):
 
     Input (in_channels x N) maps to (out_channels x N); the node count N is
     preserved so the downstream N x N adjacency still lines up. N must be
-    at least the kernel width.
+    at least the kernel width. There is no bias: each conv feeds a
+    BatchNorm1d, whose mean subtraction would cancel it exactly.
     """
 
-    PARAMS = ("kernels", "bias")
+    PARAMS = ("kernels",)
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.in_channels = in_channels
@@ -81,9 +84,7 @@ class Conv1d(_Layer):
         self.kernels = uniform_init(
             rng, (out_channels, in_channels, KERNEL_WIDTH), in_channels * KERNEL_WIDTH
         )
-        self.bias = np.zeros(out_channels)
         self.g_kernels = np.zeros_like(self.kernels)
-        self.g_bias = np.zeros_like(self.bias)
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x3 = _batch(x, 3, "conv1d")
@@ -104,7 +105,6 @@ class Conv1d(_Layer):
             self.kernels.reshape(self.out_channels, c * KERNEL_WIDTH),
             cols.reshape(b, c * KERNEL_WIDTH, n),
         )
-        y += self.bias[None, :, None]
         self._cache = xp
         return y
 
@@ -112,7 +112,6 @@ class Conv1d(_Layer):
         xp = self._cached()
         g3 = _batch(grad_out, 3, "conv1d grad")
         n = xp.shape[2] - 2
-        self.g_bias[...] = g3.sum(axis=(0, 2))
         g_xp = np.zeros_like(xp)
         for k in range(KERNEL_WIDTH):
             tap = xp[:, :, k : k + n]
@@ -263,20 +262,19 @@ class GraphConv(_Layer):
 class AttentionPool(_Layer):
     """Score-weighted pooling of node columns into one feature vector.
 
-    Each node gets the scalar score ``s_i = x[:, i] . w + b``; the scores
-    pass through a softmax and the output is the resulting convex
-    combination of node columns, so it always lies in the per-coordinate
-    hull of the nodes.
+    Each node gets the scalar score ``s_i = x[:, i] . w``; the scores pass
+    through a softmax and the output is the resulting convex combination of
+    node columns, so it always lies in the per-coordinate hull of the
+    nodes. The score has no bias: the softmax is unchanged when every score
+    shifts by the same amount.
     """
 
-    PARAMS = ("w", "b")
+    PARAMS = ("w",)
 
     def __init__(self, feature_dim: int, rng: np.random.Generator):
         self.feature_dim = feature_dim
         self.w = uniform_init(rng, feature_dim, feature_dim)
-        self.b = np.zeros(1)
         self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b)
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
         x3 = _batch(nodes, 3, "attention")
@@ -284,9 +282,8 @@ class AttentionPool(_Layer):
             raise ShapeError(
                 f"attention: input has {x3.shape[1]} features, layer expects {self.feature_dim}"
             )
-        scores = np.einsum("bfn,f->bn", x3, self.w, optimize=True) + self.b[0]
-        alpha = softmax(scores, axis=1)
-        pooled = np.einsum("bfn,bn->bf", x3, alpha, optimize=True)
+        alpha = softmax(self.w @ x3, axis=1)
+        pooled = np.matmul(x3, alpha[:, :, None])[:, :, 0]
         self._cache = (x3, alpha)
         return pooled
 
@@ -297,11 +294,10 @@ class AttentionPool(_Layer):
     def backward(self, grad_out) -> np.ndarray:
         x3, alpha = self._cached()
         g2 = _batch(grad_out, 2, "attention grad")
-        u = np.einsum("bfn,bf->bn", x3, g2, optimize=True)  # dL/dalpha
+        u = np.matmul(g2[:, None, :], x3)[:, 0, :]  # dL/dalpha
         # softmax Jacobian: dL/ds_i = alpha_i * (u_i - sum_j alpha_j u_j)
         g_s = alpha * (u - (alpha * u).sum(axis=1, keepdims=True))
-        self.g_w[...] = np.einsum("bfn,bn->f", x3, g_s, optimize=True)
-        self.g_b[...] = g_s.sum()
+        self.g_w[...] = np.matmul(x3, g_s[:, :, None]).sum(axis=0)[:, 0]
         return g2[:, :, None] * alpha[:, None, :] + self.w[None, :, None] * g_s[:, None, :]
 
 

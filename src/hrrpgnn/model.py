@@ -37,7 +37,7 @@ from .layers import (
 from .numerics import log_softmax, softmax
 
 CHECKPOINT_FORMAT = "hrrpgnn-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # The seven legal configurations, in the canonical reporting order.
@@ -77,9 +77,7 @@ class ModelConfig:
 
     @property
     def head_dim(self) -> int:
-        if "b" in self.ablation:
-            return self.g_out
-        return self.gconv_in_dim
+        return self.g_out if "b" in self.ablation else self.gconv_in_dim
 
 
 class GraphClassifier:
@@ -88,25 +86,29 @@ class GraphClassifier:
     Parameters are drawn deterministically from one generator seeded with
     ``config.seed``, layer by layer in construction order (conv1, conv2,
     gconv, att, fc): weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)),
-    biases zero, BN gamma 1 / beta 0 with running stats (0, 1). Every layer
-    is always constructed (so checkpoints have a stable tensor set for a
-    given config) but only the layers in ``chain`` run; the others'
-    gradients stay zero.
+    gconv and fc biases zero, BN gamma 1 / beta 0 with running stats (0, 1).
+    Every layer is always constructed (so checkpoints have a stable tensor
+    set for a given config) but only the layers in ``chain`` run; the
+    others' gradients stay zero. Widths too large to allocate are a ConfigError.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.conv1 = Conv1d(1, config.d_out, rng)
-        self.bn1 = BatchNorm1d(config.d_out)
-        self.act1 = LeakyReLU()
-        self.conv2 = Conv1d(config.d_out, config.d_out, rng)
-        self.bn2 = BatchNorm1d(config.d_out)
-        self.act2 = LeakyReLU()
-        self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng)
-        self.att = AttentionPool(config.head_dim, rng)
-        self.mean_pool = MeanPool()
-        self.fc = Dense(config.head_dim, config.n_classes, rng)
+        try:
+            self.conv1 = Conv1d(1, config.d_out, rng)
+            self.bn1 = BatchNorm1d(config.d_out)
+            self.act1 = LeakyReLU()
+            self.conv2 = Conv1d(config.d_out, config.d_out, rng)
+            self.bn2 = BatchNorm1d(config.d_out)
+            self.act2 = LeakyReLU()
+            self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng)
+            self.att = AttentionPool(config.head_dim, rng)
+            self.mean_pool = MeanPool()
+            self.fc = Dense(config.head_dim, config.n_classes, rng)
+        except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
+            raise ConfigError(f"model widths must be small enough to allocate, got "
+                              f"d_out={config.d_out}, g_out={config.g_out}: {exc}") from None
         flags = config.ablation
         # the (name, layer) pairs that run, in forward order
         self.chain = (

@@ -62,15 +62,14 @@ class Adam:
     def __init__(self, model: GraphClassifier, config: TrainConfig):
         self.config = config
         self.t = 0
-        self._slots = []
-        for name, param, grad in model.tensors():
-            self._slots.append((name, param, grad, np.zeros_like(param), np.zeros_like(param)))
+        self._slots = [(param, grad, np.zeros_like(param), np.zeros_like(param))
+                       for _, param, grad in model.tensors()]
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1**self.t
         bc2 = 1.0 - self.BETA2**self.t
-        for _, param, grad, m, v in self._slots:
+        for param, grad, m, v in self._slots:
             m *= self.BETA1
             m += (1.0 - self.BETA1) * grad
             v *= self.BETA2
@@ -81,8 +80,7 @@ class Adam:
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     """Shuffled index batches; a trailing singleton folds into its neighbor."""
     order = rng.permutation(n)
-    edges = list(range(0, n, batch_size))
-    batches = [order[i : i + batch_size] for i in edges]
+    batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
     if len(batches) > 1 and len(batches[-1]) == 1:
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
@@ -137,13 +135,9 @@ def train(
     amps, labels = _checked_arrays(model, dataset)
 
     def val_columns(row):
-        if val_dataset is not None:
-            metrics = evaluate(model, val_dataset)
-            row["val_accuracy"] = metrics.accuracy
-            row["val_macro_f1"] = metrics.macro_f1
-        else:
-            row["val_accuracy"] = None
-            row["val_macro_f1"] = None
+        metrics = evaluate(model, val_dataset) if val_dataset is not None else None
+        row["val_accuracy"] = None if metrics is None else metrics.accuracy
+        row["val_macro_f1"] = None if metrics is None else metrics.macro_f1
         return row
 
     log = []
@@ -255,9 +249,8 @@ def metrics_from_confusion(conf: np.ndarray, class_names=None) -> Metrics:
             f"classes {empty} have no true samples; their recall/F1 count as 0",
             stacklevel=2,
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        recall = np.where(row_sums > 0, diag / np.maximum(row_sums, 1), 0.0)
-        precision = np.where(col_sums > 0, diag / np.maximum(col_sums, 1), 0.0)
+    recall = np.where(row_sums > 0, diag / np.maximum(row_sums, 1), 0.0)
+    precision = np.where(col_sums > 0, diag / np.maximum(col_sums, 1), 0.0)
     pr = precision + recall
     f1 = np.where(pr > 0, 2.0 * precision * recall / np.maximum(pr, 1e-300), 0.0)
 

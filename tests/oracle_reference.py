@@ -11,14 +11,14 @@ an independent transcription. Parameters arrive as nested Python lists.
 import math
 
 
-def conv1d(x, kernels, bias):
-    """x: channels x N list-of-lists; kernels: out x in x 3; zero same-padding."""
+def conv1d(x, kernels):
+    """x: channels x N list-of-lists; kernels: out x in x 3; zero same-padding, no bias."""
     n = len(x[0])
     out = []
-    for o, kern in enumerate(kernels):
+    for kern in kernels:
         row = []
         for p in range(n):
-            acc = bias[o]
+            acc = 0.0
             for c, taps in enumerate(kern):
                 for k in range(3):
                     q = p + k - 1
@@ -70,9 +70,9 @@ def softmax(scores):
     return [v / z for v in e]
 
 
-def attention_pool(x, w, b):
+def attention_pool(x, w):
     n = len(x[0])
-    scores = [sum(x[f][i] * w[f] for f in range(len(x))) + b for i in range(n)]
+    scores = [sum(x[f][i] * w[f] for f in range(len(x))) for i in range(n)]
     alpha = softmax(scores)
     return [sum(x[f][i] * alpha[i] for i in range(n)) for f in range(len(x))]
 
@@ -101,11 +101,11 @@ def reference_log_probs(state, amps, leaky_slope, bn_eps, ablation="abc"):
     """
     x = [list(amps)]
     if "a" in ablation:
-        x = conv1d(x, state["conv1.kernels"], state["conv1.bias"])
+        x = conv1d(x, state["conv1.kernels"])
         x = batchnorm_eval(x, state["bn1.gamma"], state["bn1.beta"],
                            state["bn1.running_mean"], state["bn1.running_var"], bn_eps)
         x = leaky_relu(x, leaky_slope)
-        x = conv1d(x, state["conv2.kernels"], state["conv2.bias"])
+        x = conv1d(x, state["conv2.kernels"])
         x = batchnorm_eval(x, state["bn2.gamma"], state["bn2.beta"],
                            state["bn2.running_mean"], state["bn2.running_var"], bn_eps)
         x = leaky_relu(x, leaky_slope)
@@ -113,7 +113,7 @@ def reference_log_probs(state, amps, leaky_slope, bn_eps, ablation="abc"):
         x = graph_conv(x, adjacency(amps), state["gconv.w1"], state["gconv.w2"],
                        state["gconv.bias"])
     if "c" in ablation:
-        pooled = attention_pool(x, state["att.w"], state["att.b"][0])
+        pooled = attention_pool(x, state["att.w"])
     else:
         pooled = mean_pool(x)
     logits = dense(pooled, state["fc.w"], state["fc.b"])

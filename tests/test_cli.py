@@ -309,6 +309,8 @@ MALFORMED = {
         3, "data.manifest.json: not UTF-8"),
     "version-1-checkpoint": (
         _corrupt_checkpoint(lambda p: p.update(version=1)), None, 3, "version 1"),
+    "version-2-checkpoint": (
+        _corrupt_checkpoint(lambda p: p.update(version=2)), None, 3, "version 2"),
     "manifest-is-a-directory": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest=Path.mkdir), 3, "data.manifest.json"),
 }
@@ -328,6 +330,17 @@ def test_malformed_input_exit_codes(case, gen_dir, run_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert expected in err
+
+
+def test_empty_class_warning_is_one_line(run_dir, tmp_path, capsys):
+    data = _csv([(0, "0.5"), (0, "0.5")], manifest='{"n_classes": 2}')(tmp_path)
+    capsys.readouterr()
+    rc = run("eval", "--data", str(data), "--checkpoint", str(run_dir / "model.json"))
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    assert err.splitlines() == [
+        "warning: classes [1] have no true samples; their recall/F1 count as 0"
+    ]
 
 
 def test_diverging_training_exit_code(gen_dir, tmp_path, capsys):
@@ -435,6 +448,15 @@ BAD_NUMBERS = {
                        "ablation"),
     "ablate-seeds": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY, "--seeds", "0"],
                      "--seeds"),
+    # numpy refuses 2**62 before allocating anything; never try a width it would allocate
+    "train-d-out-2**62": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                           "--d-out", str(2**62)], "model widths"),
+    "train-g-out-2**62": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                           "--g-out", str(2**62)], "model widths"),
+    "ablate-d-out-2**62": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--d-out", str(2**62)], "model widths"),
+    "ablate-g-out-2**62": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--g-out", str(2**62)], "model widths"),
 }
 
 
@@ -460,6 +482,9 @@ BAD_SPEC_NUMBERS = {
     "position-jitter-1e308": ("position_jitter", 1e308),
     "position-jitter-nan": ("position_jitter", float("nan")),
     "width-inf": ("width", float("inf")),
+    "width-1e-200": ("width", 1e-200),
+    "width-1e-160": ("width", 1e-160),
+    "width-1e200": ("width", 1e200),
     "amplitude-nan": ("amplitude", float("nan")),
 }
 

@@ -77,6 +77,7 @@ def test_synth_validation():
     ("position_jitter", float("nan")), ("position_jitter", 1e308), ("position_jitter", 16.0),
     ("amplitude", float("nan")), ("amplitude", float("inf")),
     ("width", float("nan")), ("width", float("inf")),
+    ("width", 1e-200), ("width", 1e-160), ("width", 1e200),
 ])
 def test_synth_rejects_non_finite_spec_numbers(field, value):
     """NaN fails every comparison, so each bound is written to reject it."""

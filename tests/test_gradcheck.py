@@ -22,14 +22,13 @@ def test_check_layer_dense(rng):
 def test_conv1d_matches_oracle_and_gradients(in_channels, rng):
     """The network's two conv shapes: one input channel (conv1) and several (conv2)."""
     conv = Conv1d(in_channels, 4, rng)
-    conv.bias[...] = rng.normal(size=4)
     x = rng.normal(size=(3, in_channels, 9))
     out = conv.forward(x)
     for b in range(3):
-        expected = oracle_conv1d(x[b].tolist(), conv.kernels.tolist(), conv.bias.tolist())
+        expected = oracle_conv1d(x[b].tolist(), conv.kernels.tolist())
         np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
     errs = check_layer(conv, x, seed=in_channels)
-    assert set(errs) == {"kernels", "bias", "input"}
+    assert set(errs) == {"kernels", "input"}
     assert max(errs.values()) < TOL
 
 

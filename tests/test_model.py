@@ -206,8 +206,7 @@ def test_different_seed_different_parameters():
 
 def test_init_convention():
     model = GraphClassifier(small_config())
-    assert np.all(model.conv1.bias == 0.0) and np.all(model.fc.b == 0.0)
-    assert np.all(model.gconv.bias == 0.0)
+    assert np.all(model.fc.b == 0.0) and np.all(model.gconv.bias == 0.0)
     assert np.all(model.bn1.gamma == 1.0) and np.all(model.bn1.beta == 0.0)
     assert np.all(model.bn1.running_mean == 0.0) and np.all(model.bn1.running_var == 1.0)
     bound = np.sqrt(1.0 / model.conv2.in_channels / 3.0)
@@ -336,3 +335,18 @@ def test_disabled_layers_keep_zero_grads(rng):
     assert np.all(grads["bn1.gamma"] == 0.0)
     assert np.any(grads["gconv.w1"] != 0.0)
     assert np.any(grads["att.w"] != 0.0)
+
+
+def test_every_chain_tensor_gets_a_gradient():
+    """No parameter on the chain is inert: a bias that the next operation cancels
+    (a conv's before BatchNorm, an attention score's before the softmax) would get
+    a gradient of rounding noise, about 1e-17, and never change the output."""
+    for flags in ABLATION_ORDER:
+        for seed in (0, 1, 2):
+            model = GraphClassifier(ModelConfig(16, 3, d_out=6, g_out=8, ablation=flags, seed=seed))
+            rng = np.random.default_rng(seed)
+            model.forward_batch(rng.uniform(0.1, 1.0, (8, 16)), training=True)
+            model.backward(rng.integers(0, 3, 8))
+            for prefix, layer in model.chain:
+                for name, _, grad in layer.tensors(prefix):
+                    assert np.max(np.abs(grad)) > 1e-10, f"{flags} seed {seed}: {name}"
