@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward passes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layer", help="check a single layer (conv1d, batchnorm, leaky_relu, "
-                                   "graphconv, attention, mean_pool, dense)")
+                                   "graphconv, graphconv_attention, attention, mean_pool, "
+                                   "dense)")
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

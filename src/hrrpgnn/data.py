@@ -110,6 +110,11 @@ def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
                               f"pulse finite on {n_cells} cells, got {sc.width!r}")
     if not 0.0 <= spec.amplitude_jitter < 1.0:
         raise ConfigError(f"class {spec.name!r}: amplitude_jitter must lie in [0, 1)")
+    # the largest profile value before noise: every pulse at its peak and top factor
+    peak = sum(sc.amplitude for sc in spec.scatterers) * (1.0 + spec.amplitude_jitter)
+    if not peak < np.inf:
+        raise ConfigError(f"class {spec.name!r}: scatterer amplitude must keep the summed "
+                          f"pulses finite, but amplitude * (1 + amplitude_jitter) sums to {peak}")
     if not 0.0 <= spec.dropout_prob < 1.0:
         raise ConfigError(f"class {spec.name!r}: dropout_prob must lie in [0, 1)")
     if not 0.0 <= spec.noise_sigma < np.inf:

@@ -61,11 +61,13 @@ def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
     return worst
 
 
-def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
+def check_layer(layer, x, seed: int = 0, extra=None, also=()) -> dict:
     """Gradient-check one layer's parameters and input on a fixed projection.
 
     ``extra`` carries a non-differentiated forward argument (the amplitudes
-    that define the graph convolution's adjacency). Returns
+    that define the graph convolution's adjacency). ``also`` lists further
+    (name, param, grad) triples the layer uses and fills, such as the
+    weights of the attention a graph convolution reads out through. Returns
     {tensor_name: max_rel_error} including an ``input`` entry.
     """
     rng = np.random.default_rng(seed)
@@ -80,6 +82,8 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
     results = {}
     for name, param, grad in layer.tensors(""):
         results[name.lstrip(".")] = finite_diff_check(f, param, grad)
+    for name, param, grad in also:
+        results[name] = finite_diff_check(f, param, grad)
     results["input"] = finite_diff_check(f, x, g_in)
     return results
 
@@ -101,13 +105,19 @@ def layer_suite(seed: int = 0) -> dict:
     x_act += np.where(x_act >= 0, 0.25, -0.25)
     results["leaky_relu"] = check_layer(LeakyReLU(), x_act, seed + 3)
 
+    # the graph conv with each readout: the mean, then the attention's scores;
+    # a nonzero bias exercises its terms in the scores and their gradient
     gconv = GraphConv(4, 5, n, rng)
+    gconv.bias[...] = rng.standard_normal(gconv.bias.shape)
     amps = rng.uniform(0.2, 1.0, (batch, n))
-    results["graphconv"] = check_layer(
-        gconv, rng.standard_normal((batch, 4, n)), seed + 4, extra=amps
-    )
+    x_graph = rng.standard_normal((batch, 4, n))
+    results["graphconv"] = check_layer(gconv, x_graph, seed + 4, extra=amps)
 
     att = AttentionPool(5, rng)
+    gconv.attention = att
+    results["graphconv_attention"] = check_layer(
+        gconv, x_graph, seed + 8, extra=amps, also=att.tensors("att")
+    )
     results["attention"] = check_layer(att, rng.standard_normal((batch, 5, n)), seed + 5)
 
     results["mean_pool"] = check_layer(MeanPool(), rng.standard_normal((batch, 5, n)), seed + 6)
@@ -169,10 +179,8 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
 
     f()
     model.backward(labels)
-    results = {}
-    for prefix, layer in model.chain:  # layers off the chain never run
-        for name, param, grad in layer.tensors(prefix):
-            results[name] = finite_diff_check(f, param, grad)
+    results = {name: finite_diff_check(f, param, grad)
+               for name, param, grad in model.active_tensors()}
 
     for name, arr in model.state_arrays().items():
         if name in saved_running:

@@ -21,7 +21,11 @@ leading batch axis in front of the per-sample shape given in each
 docstring, and an input of any other rank raises ``ShapeError``. The
 graph convolution also takes each sample's raw amplitudes and applies the
 range-relative adjacency they define as a factored product, so it is the
-only code that touches the adjacency at run time.
+only code that touches the adjacency at run time. It is never followed by
+a separate pooling layer: it reads its own output out, by the mean or
+through an AttentionPool's scores, so its per-node output is never
+formed. AttentionPool and MeanPool run on their own only when there is
+no graph convolution.
 """
 
 from __future__ import annotations
@@ -160,16 +164,20 @@ class BatchNorm1d(_Layer):
                     f"(got {x3.shape[0]}); per-channel batch variance is undefined otherwise"
                 )
             mean = x3.mean(axis=(0, 2))
-            var = x3.var(axis=(0, 2))
+            xhat = x3 - mean[None, :, None]
+            # ndarray.var's own expression, so the square's buffer can hold the output
+            y = xhat * xhat
+            var = y.sum(axis=(0, 2)) / (x3.shape[0] * x3.shape[2])
             self.running_mean[...] = (1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
             self.running_var[...] = (1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         else:
             mean = self.running_mean
             var = self.running_var
+            xhat = x3 - mean[None, :, None]
+            y = np.empty_like(xhat)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = x3 - mean[None, :, None]
         xhat *= inv_std[None, :, None]
-        y = self.gamma[None, :, None] * xhat
+        np.multiply(self.gamma[None, :, None], xhat, out=y)
         y += self.beta[None, :, None]
         self._cache = (xhat, inv_std, training, x3.shape)
         return y
@@ -179,25 +187,41 @@ class BatchNorm1d(_Layer):
         if not training:
             raise UsageError("batchnorm: backward needs a training-mode forward")
         g3 = _batch(grad_out, 3, "batchnorm grad")
-        self.g_gamma[...] = (g3 * xhat).sum(axis=(0, 2))
+        g_xhat = g3 * xhat
+        self.g_gamma[...] = g_xhat.sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
-        scale = (self.gamma * inv_std)[None, :, None]
         m = xshape[0] * xshape[2]
-        g_sum = g3.sum(axis=(0, 2), keepdims=True)
-        gx_sum = (g3 * xhat).sum(axis=(0, 2), keepdims=True)
-        return (scale / m) * (m * g3 - g_sum - xhat * gx_sum)
+        # (gamma inv_std / m) * (m g - sum g - xhat * sum(g xhat)), evaluated in place
+        g_x = m * g3
+        g_x -= self.g_beta[None, :, None]
+        g_x -= np.multiply(xhat, self.g_gamma[None, :, None], out=g_xhat)
+        g_x *= (self.gamma * inv_std)[None, :, None] / m
+        return g_x
 
 
 class GraphConv(_Layer):
-    """Dense graph convolution: out column i = W1 x_i + W2 (sum_j e[j,i] x_j) + B[:, i].
+    """Dense graph convolution, read out by its pooling in the same operation.
 
-    In matrix form ``W1 X + W2 (X E) + B`` where E is each sample's
+    The convolution is Y = W1 X + W2 (X E) + B: column i of Y is
+    W1 x_i + W2 (sum_j e[j, i] x_j) + B[:, i], where E is each sample's
     symmetric range-relative edge matrix e[i, j] = h[i] h[j] / (|i - j| + 1)
-    (``graphgen.build_adjacency``). ``forward`` takes the raw (batch, N)
-    amplitudes h and applies E in factored form, X E = ((X * h) R) * h,
-    with the N x N reciprocal-distance matrix R built once per layer, so
-    the dense (batch, N, N) stack is never formed. The layer is built for
-    a fixed node count N, and the bias B is per node (an out_dim x N matrix).
+    (``graphgen.build_adjacency``) and the bias B is per node. The layer is
+    built for a fixed node count N and takes the raw (batch, N) amplitudes
+    h with the (batch, in_dim, N) nodes.
+
+    Its output is the pooled (batch, out_dim) vector p = Y alpha. With
+    ``attention`` set to an AttentionPool, alpha is the softmax of the
+    scores s = w^T Y over the nodes; with ``attention`` None it is the
+    uniform 1/N, the mean. Both pooling and scores are linear in Y, so
+
+        s = (W1^T w)^T X + ((W2^T w)^T X) E + B^T w
+        p = W1 (X alpha) + W2 (X (E alpha)) + B alpha
+
+    and Y itself is never formed. E is applied in factored form,
+    v E = ((v * h) R) * h, with the N x N reciprocal-distance matrix R built
+    once per layer, to one row per sample at a time. ``forward`` records
+    alpha as the attention's weights, and ``backward`` fills the attention's
+    ``g_w`` slot along with this layer's own.
     """
 
     PARAMS = ("w1", "w2", "bias")
@@ -213,15 +237,17 @@ class GraphConv(_Layer):
         self.g_w1 = np.zeros_like(self.w1)
         self.g_w2 = np.zeros_like(self.w2)
         self.g_bias = np.zeros_like(self.bias)
+        # the AttentionPool (of feature_dim out_dim) whose scores weight the
+        # readout; None reads out the mean
+        self.attention = None
 
-    def _times_adjacency(self, x3: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """X @ E for a (batch, features, N) stack: ((X * h) @ R) * h.
+    def _times_adjacency(self, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """v @ E for rows v of length N: ((v * h) @ R) * h.
 
-        R is shared by every sample, so the batch and feature axes fold into
-        the rows of a single (batch * features, N) @ (N, N) product.
+        E is symmetric, so this is also E v. R is shared by every sample, so
+        every leading axis folds into the rows of a single product with R.
         """
-        b, c, n = x3.shape
-        out = ((x3 * h).reshape(b * c, n) @ self.recip).reshape(b, c, n)
+        out = (v * h) @ self.recip
         out *= h
         return out
 
@@ -233,30 +259,60 @@ class GraphConv(_Layer):
             raise ShapeError(
                 f"graphconv: layer is built for {self.n_nodes} nodes, input has {x3.shape[2]}"
             )
-        amps = _batch(amplitudes, 2, "graphconv amplitudes")
-        if amps.shape != (x3.shape[0], self.n_nodes):
+        h = _batch(amplitudes, 2, "graphconv amplitudes")
+        if h.shape != (x3.shape[0], self.n_nodes):
             raise ShapeError(
-                f"graphconv: amplitudes have shape {amps.shape}, "
+                f"graphconv: amplitudes have shape {h.shape}, "
                 f"nodes need ({x3.shape[0]}, {self.n_nodes})"
             )
-        h = amps[:, None, :]
-        agg = self._times_adjacency(x3, h)  # agg[b, d, i] = sum_j x[b, d, j] * e[b, j, i]
-        y = np.matmul(self.w1, x3)
-        y += np.matmul(self.w2, agg)
-        y += self.bias[None, :, :]
-        self._cache = (x3, h, agg)
-        return y
+        if self.attention is None:
+            alpha = np.full(h.shape, 1.0 / self.n_nodes)
+        else:
+            w = self.attention.w
+            scores = (w @ self.w1) @ x3
+            scores += self._times_adjacency((w @ self.w2) @ x3, h)
+            scores += w @ self.bias
+            alpha = softmax(scores, axis=1)
+            self.attention.alpha = alpha
+        e_alpha = self._times_adjacency(alpha, h)
+        x_alpha = np.matmul(x3, alpha[:, :, None])[:, :, 0]
+        x_e_alpha = np.matmul(x3, e_alpha[:, :, None])[:, :, 0]
+        pooled = x_alpha @ self.w1.T
+        pooled += x_e_alpha @ self.w2.T
+        pooled += alpha @ self.bias.T
+        self._cache = (x3, h, alpha, e_alpha, x_alpha, x_e_alpha)
+        return pooled
 
     def backward(self, grad_out) -> np.ndarray:
-        x3, h, agg = self._cached()
-        g3 = _batch(grad_out, 3, "graphconv grad")
-        self.g_w1[...] = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
-        self.g_w2[...] = np.matmul(g3, agg.transpose(0, 2, 1)).sum(axis=0)
-        self.g_bias[...] = g3.sum(axis=0)
-        g_x = np.matmul(self.w1.T, g3)
-        # E is symmetric, so G @ E^T is the same factored product
-        g_x += self._times_adjacency(np.matmul(self.w2.T, g3), h)
-        return g_x
+        x3, h, alpha, e_alpha, x_alpha, x_e_alpha = self._cached()
+        g2 = _batch(grad_out, 2, "graphconv grad")
+        # dL/dY = g alpha^T, plus w g_s^T with attention (g_s = dL/ds), so every
+        # product below is on one or two rows per sample
+        w1_g, w2_g = g2 @ self.w1, g2 @ self.w2  # per sample W1^T g, W2^T g
+        self.g_w1[...] = g2.T @ x_alpha
+        self.g_w2[...] = g2.T @ x_e_alpha
+        self.g_bias[...] = g2.T @ alpha
+        left, right = [w1_g, w2_g], [alpha, e_alpha]
+        if self.attention is not None:
+            w = self.attention.w
+            u = np.matmul(w1_g[:, None, :], x3)[:, 0, :]  # u = Y^T g = dL/dalpha
+            u += self._times_adjacency(np.matmul(w2_g[:, None, :], x3)[:, 0, :], h)
+            u += g2 @ self.bias
+            # softmax Jacobian: dL/ds_i = alpha_i * (u_i - sum_j alpha_j u_j)
+            g_s = alpha * (u - (alpha * u).sum(axis=1, keepdims=True))
+            e_g_s = self._times_adjacency(g_s, h)
+            x_g_s = np.matmul(x3, g_s[:, :, None])[:, :, 0].sum(axis=0)
+            x_e_g_s = np.matmul(x3, e_g_s[:, :, None])[:, :, 0].sum(axis=0)
+            g_s_sum = g_s.sum(axis=0)
+            self.g_w1 += np.outer(w, x_g_s)
+            self.g_w2 += np.outer(w, x_e_g_s)
+            self.g_bias += np.outer(w, g_s_sum)
+            self.attention.g_w[...] = self.w1 @ x_g_s + self.w2 @ x_e_g_s + self.bias @ g_s_sum
+            shape = w1_g.shape
+            left += [np.broadcast_to(w @ self.w1, shape), np.broadcast_to(w @ self.w2, shape)]
+            right += [g_s, e_g_s]
+        # g_X = W1^T dY + W2^T dY E: a (in_dim x 2 or 4) @ (2 or 4 x N) product per sample
+        return np.matmul(np.stack(left, axis=2), np.stack(right, axis=1))
 
 
 class AttentionPool(_Layer):
@@ -270,6 +326,7 @@ class AttentionPool(_Layer):
     """
 
     PARAMS = ("w",)
+    alpha = None
 
     def __init__(self, feature_dim: int, rng: np.random.Generator):
         self.feature_dim = feature_dim
@@ -285,11 +342,15 @@ class AttentionPool(_Layer):
         alpha = softmax(self.w @ x3, axis=1)
         pooled = np.matmul(x3, alpha[:, :, None])[:, :, 0]
         self._cache = (x3, alpha)
+        self.alpha = alpha
         return pooled
 
     def attention_weights(self) -> np.ndarray:
-        """Softmax weights from the most recent forward call."""
-        return self._cached()[1]
+        """(batch, N) softmax weights from the most recent forward that used these
+        scores: this layer's own, or a GraphConv's that reads out through it."""
+        if self.alpha is None:
+            raise UsageError("attention: forward has not run yet")
+        return self.alpha
 
     def backward(self, grad_out) -> np.ndarray:
         x3, alpha = self._cached()
@@ -353,11 +414,14 @@ class LeakyReLU(_Layer):
         self._cache = x >= 0.0
         # for 0 < SLOPE < 1 this equals where(x >= 0, x, SLOPE * x) bit for bit,
         # signed zeros, NaN and infinities included
-        return np.maximum(x, self.SLOPE * x)
+        y = self.SLOPE * x
+        return np.maximum(x, y, out=y)
 
     def backward(self, grad_out) -> np.ndarray:
         mask = self._cached()
         g = np.asarray(grad_out, dtype=np.float64)
-        # where(mask, g, SLOPE * g) bit for bit (g * 1.0 is g), at about half the cost
-        return g * np.where(mask, 1.0, self.SLOPE)
+        # where(mask, g, SLOPE * g) bit for bit (1.0 * g is g), in one buffer
+        out = np.where(mask, 1.0, self.SLOPE)
+        out *= g
+        return out
 

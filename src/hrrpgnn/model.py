@@ -14,7 +14,8 @@ configuration keeps a comparable head, and disabled modules simply drop
 out of the chain. Feature widths rewire accordingly: the graph
 convolution consumes d_out channels when the conv blocks are on and the
 raw single channel otherwise, and the head consumes whatever the last
-enabled stage produces.
+enabled stage produces. With module b on, the graph convolution and the
+pooling after it run as one layer (``layers.GraphConv``).
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ class GraphClassifier:
     gconv, att, fc): weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)),
     gconv and fc biases zero, BN gamma 1 / beta 0 with running stats (0, 1).
     Every layer is always constructed (so checkpoints have a stable tensor
-    set for a given config) but only the layers in ``chain`` run; the
-    others' gradients stay zero. Widths too large to allocate are a ConfigError.
+    set for a given config) but only the layers in ``chain`` run. With
+    module b on, the graph conv also does the pooling, with att's weights
+    when module c is on. Tensors outside ``active_tensors`` keep zero
+    gradients. Widths too large to allocate are a ConfigError.
     """
 
     def __init__(self, config: ModelConfig):
@@ -110,13 +113,18 @@ class GraphClassifier:
             raise ConfigError(f"model widths must be small enough to allocate, got "
                               f"d_out={config.d_out}, g_out={config.g_out}: {exc}") from None
         flags = config.ablation
+        if "b" in flags:
+            # the graph conv pools its own output, through att's scores or by the mean
+            self.gconv.attention = self.att if "c" in flags else None
+            readout = [("gconv", self.gconv)]
+        else:
+            readout = [("att", self.att) if "c" in flags else ("mean_pool", self.mean_pool)]
         # the (name, layer) pairs that run, in forward order
         self.chain = (
             ([("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
               ("conv2", self.conv2), ("bn2", self.bn2), ("act2", self.act2)]
              if "a" in flags else [])
-            + ([("gconv", self.gconv)] if "b" in flags else [])
-            + [("att", self.att) if "c" in flags else ("mean_pool", self.mean_pool)]
+            + readout
             + [("fc", self.fc)]
         )
         self._logits = None
@@ -138,6 +146,19 @@ class GraphClassifier:
         for prefix, layer in self._layers():
             yield from layer.tensors(prefix)
 
+    def active_tensors(self):
+        """The (name, param, grad) triples the enabled modules train, in checkpoint order.
+
+        These are the tensors of the chain's layers plus ``att.w`` when the
+        graph conv reads out through it; every other gradient stays zero.
+        """
+        active = {name for name, _ in self.chain}
+        if self.gconv.attention is not None:
+            active.add("att")
+        for prefix, layer in self._layers():
+            if prefix in active:
+                yield from layer.tensors(prefix)
+
     def state_arrays(self) -> dict:
         """Every persistent tensor (parameters plus BN running stats), by name."""
         state = {name: param for name, param, _ in self.tensors()}
@@ -158,7 +179,8 @@ class GraphClassifier:
         ``_EVAL_BLOCK`` at a time: each row gets what its block alone would
         give. The layer caches then hold only the last block, so
         ``backward`` is refused until the next training-mode call.
-        ``att.attention_weights()`` after an eval pass covers the last block only.
+        ``att.attention_weights()`` after an eval pass covers the last block
+        only; with module b on, the graph conv's readout sets them.
         """
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 2:
@@ -279,6 +301,9 @@ class GraphClassifier:
         missing = sorted(set(state) - set(stored))
         if missing:
             raise DataFormatError(f"checkpoint {path} is missing tensors: {missing}")
+        unknown = sorted(set(stored) - set(state))
+        if unknown:
+            raise DataFormatError(f"checkpoint {path} has unknown tensors: {unknown}")
         for name, arr in state.items():
             try:
                 shape = tuple(stored[name]["shape"])

@@ -311,6 +311,9 @@ MALFORMED = {
         _corrupt_checkpoint(lambda p: p.update(version=1)), None, 3, "version 1"),
     "version-2-checkpoint": (
         _corrupt_checkpoint(lambda p: p.update(version=2)), None, 3, "version 2"),
+    "extra-tensor": (
+        _corrupt_checkpoint(lambda p: p["tensors"].update({"att.b": {"shape": [1], "data": [0.0]}})),
+        None, 3, "unknown tensors: ['att.b']"),
     "manifest-is-a-directory": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest=Path.mkdir), 3, "data.manifest.json"),
 }
@@ -486,6 +489,8 @@ BAD_SPEC_NUMBERS = {
     "width-1e-160": ("width", 1e-160),
     "width-1e200": ("width", 1e200),
     "amplitude-nan": ("amplitude", float("nan")),
+    # finite, but two overlapping 1e308 pulses at factor 1.5 overflow
+    "amplitude-1e308": ("amplitude", 1e308),
 }
 
 
@@ -493,7 +498,8 @@ BAD_SPEC_NUMBERS = {
 def test_bad_class_spec_number_exit_code(case, tmp_path, capsys):
     field, value = BAD_SPEC_NUMBERS[case]
     scatterer = {"position": 4.0, "amplitude": 1.0, "width": 1.0}
-    spec = {"name": "x", "position_jitter": 1.0, "noise_sigma": 0.05, "scatterers": [scatterer]}
+    spec = {"name": "x", "position_jitter": 1.0, "amplitude_jitter": 0.5, "noise_sigma": 0.05,
+            "scatterers": [scatterer, scatterer]}
     (scatterer if field in scatterer else spec)[field] = value
     path = tmp_path / "specs.json"
     path.write_text(json.dumps({"classes": [spec]}), encoding="utf-8")

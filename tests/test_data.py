@@ -78,14 +78,16 @@ def test_synth_validation():
     ("amplitude", float("nan")), ("amplitude", float("inf")),
     ("width", float("nan")), ("width", float("inf")),
     ("width", 1e-200), ("width", 1e-160), ("width", 1e200),
+    ("amplitude", 1e308),  # finite, but two overlapping 1e308 pulses at factor 1.5 are not
 ])
 def test_synth_rejects_non_finite_spec_numbers(field, value):
     """NaN fails every comparison, so each bound is written to reject it."""
     if field in ("amplitude", "width"):
-        spec = SynthClassSpec("x", (ScattererSpec(**{"position": 4.0, "amplitude": 1.0,
-                                                     "width": 1.0, field: value}),))
+        scatterer = ScattererSpec(**{"position": 4.0, "amplitude": 1.0, "width": 1.0, field: value})
+        spec = SynthClassSpec("x", (scatterer, scatterer), amplitude_jitter=0.5)
     else:
-        spec = SynthClassSpec("x", (ScattererSpec(4.0, 1.0, 1.0),), **{field: value})
+        spec = SynthClassSpec("x", (ScattererSpec(4.0, 1.0, 1.0),) * 2, amplitude_jitter=0.5,
+                              **{field: value})
     with pytest.raises(ConfigError, match=f"{field} must"):
         synth_generate([spec], per_class=1, n_cells=16, seed=0)
 

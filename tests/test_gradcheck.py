@@ -35,8 +35,13 @@ def test_conv1d_matches_oracle_and_gradients(in_channels, rng):
 def test_layer_suite_covers_every_layer_type():
     results = layer_suite(seed=0)
     assert set(results) == {
-        "conv1d", "batchnorm", "leaky_relu", "graphconv", "attention", "mean_pool", "dense",
+        "conv1d", "batchnorm", "leaky_relu", "graphconv", "graphconv_attention", "attention",
+        "mean_pool", "dense",
     }
+    # the graph conv with either readout: its own tensors, the input, and the
+    # attention weights when it reads out through them
+    assert set(results["graphconv"]) == {"w1", "w2", "bias", "input"}
+    assert set(results["graphconv_attention"]) == {"w1", "w2", "bias", "att.w", "input"}
     assert worst_error(results) < TOL
 
 
@@ -62,9 +67,23 @@ def test_check_model_is_repeatable():
     assert first == second
 
 
+# the checkpoint names of each module's trained tensors; the head is always on
+MODULE_TENSORS = {
+    "a": {"conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta"},
+    "b": {"gconv.w1", "gconv.w2", "gconv.bias"},
+    "c": {"att.w"},
+}
+
+
 def test_check_all_ablations_keys():
+    """Every ablation checks exactly the tensors of its enabled modules and the head."""
     results = check_all_ablations(n_cells=6, n_classes=2, d_out=2, g_out=2, seed=0)
     assert set(results) == {"a", "b", "c", "ab", "ac", "bc", "abc"}
+    for flags, errs in results.items():
+        expected = {"fc.w", "fc.b"}.union(*(MODULE_TENSORS[f] for f in flags))
+        assert set(errs) == expected, flags
+    assert len(results["abc"]) == 12
+    assert set(results["bc"]) == {"gconv.w1", "gconv.w2", "gconv.bias", "att.w", "fc.w", "fc.b"}
     assert worst_error(results) < TOL
 
 

@@ -58,7 +58,7 @@ def test_adjacency_rejects_bad_shapes():
 
 
 def _adjacency_product(n_features, n_nodes):
-    """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
+    """A graph conv whose output is X @ E read out by the mean: W1 = 0, W2 = I, zero bias."""
     gc = GraphConv(n_features, n_features, n_nodes, np.random.default_rng(0))
     gc.w1[...] = 0.0
     gc.w2[...] = np.eye(n_features)
@@ -66,12 +66,15 @@ def _adjacency_product(n_features, n_nodes):
 
 
 def test_factored_matmul_right_matches_dense_product(rng):
-    """GraphConv's factored ((X * h) @ R) * h equals X times the dense adjacency stack."""
+    """GraphConv's factored ((X * h) @ R) * h equals X times the dense adjacency stack,
+    and its mean readout is that product's row mean."""
     h = rng.uniform(0.0, 2.0, size=(3, 9))
     x = rng.normal(size=(3, 5, 9))
     expected = x @ np.stack([build_adjacency(a) for a in h])
-    out = _adjacency_product(5, 9).forward(x, h)
+    gc = _adjacency_product(5, 9)
+    out = gc._times_adjacency(x, h[:, None, :])
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gc.forward(x, h), expected.mean(axis=2), rtol=1e-12, atol=1e-12)
 
 
 def test_factored_matmul_right_shape_check(rng):

@@ -17,6 +17,7 @@ from hrrpgnn.layers import (
     MeanPool,
     uniform_init,
 )
+from hrrpgnn.numerics import softmax
 
 # ---- worked examples ------------------------------------------------------------
 
@@ -70,6 +71,16 @@ def test_batchnorm_running_stats_update():
     np.testing.assert_allclose(bn.running_var, [0.9 * 2.0 + 0.1 * 9.0])
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 1), (3, 4, 9), (32, 16, 501), (5, 3, 128)])
+def test_batchnorm_batch_variance_is_ndarray_var(shape, rng):
+    """The running variance folds in a batch variance equal to x.var(axis=(0, 2)) bit for bit."""
+    x = rng.normal(3.0, 2.0, size=shape)
+    bn = BatchNorm1d(shape[1])
+    bn.running_var[...] = 0.0
+    bn.forward(x, training=True)
+    np.testing.assert_array_equal(bn.running_var, BatchNorm1d.MOMENTUM * x.var(axis=(0, 2)))
+
+
 def test_batchnorm_eval_uses_running_stats():
     bn = BatchNorm1d(1)
     bn.running_mean[...] = 5.0
@@ -92,34 +103,68 @@ def test_batchnorm_training_rejects_single_sample():
 
 
 def test_graphconv_worked_example(rng):
+    # Y = W1 X + W2 X E = [7.5, 34.5]; the mean reads out 21, and scores
+    # [7.5 k, 34.5 k] with 27 k = log 3 weight the nodes 1/4 and 3/4
     gc = GraphConv(1, 1, 2, rng)
     gc.w1[...] = [[2.0]]
     gc.w2[...] = [[1.0]]
     out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
-    np.testing.assert_allclose(out, [[[7.5, 34.5]]], atol=1e-12)
+    np.testing.assert_allclose(out, [[21.0]], atol=1e-12)
+    att = AttentionPool(1, rng)
+    att.w[...] = math.log(3.0) / 27.0
+    gc.attention = att
+    out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
+    np.testing.assert_allclose(att.attention_weights(), [[0.25, 0.75]], atol=1e-12)
+    np.testing.assert_allclose(out, [[27.75]], atol=1e-12)
+
+
+def _dense_graphconv_pool(gc, x, amps, g):
+    """The graph conv and its readout written on the dense e[i, j] stack and the
+    (batch, out_dim, N) output: the pooled output, then the gradients for ``g``."""
+    dense = np.stack([build_adjacency(a) for a in amps])
+    y = gc.w1 @ x + gc.w2 @ (x @ dense) + gc.bias
+    att = gc.attention
+    if att is None:
+        alpha = np.full(amps.shape, 1.0 / amps.shape[1])
+    else:
+        alpha = softmax(att.w @ y, axis=1)
+    pooled = (y @ alpha[:, :, None])[:, :, 0]
+    grad_y = g[:, :, None] * alpha[:, None, :]
+    grads = {}
+    if att is not None:
+        u = (g[:, None, :] @ y)[:, 0, :]
+        g_s = alpha * (u - (alpha * u).sum(axis=1, keepdims=True))
+        grad_y += att.w[None, :, None] * g_s[:, None, :]
+        grads["att.w"] = (y @ g_s[:, :, None]).sum(axis=0)[:, 0]
+    grads["w1"] = (grad_y @ x.transpose(0, 2, 1)).sum(axis=0)
+    grads["w2"] = (grad_y @ (x @ dense).transpose(0, 2, 1)).sum(axis=0)
+    grads["bias"] = grad_y.sum(axis=0)
+    grads["input"] = gc.w1.T @ grad_y + (gc.w2.T @ grad_y) @ dense.transpose(0, 2, 1)
+    return pooled, grads
 
 
 def test_graphconv_factored_matches_dense(rng):
-    """Forward and backward agree with the same layer written on the dense e[i, j] stack."""
-    gc = GraphConv(3, 4, 10, rng)
-    gc.bias[...] = rng.normal(size=gc.bias.shape)
-    amps = rng.uniform(0.0, 2.0, size=(5, 10))
-    x = rng.normal(size=(5, 3, 10))
-    dense = np.stack([build_adjacency(a) for a in amps])
-    out = gc.forward(x, amps)
-    expected = gc.w1 @ x + gc.w2 @ (x @ dense) + gc.bias
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-    g = rng.normal(size=out.shape)
-    gx = gc.backward(g)
-    expected_gx = gc.w1.T @ g + (gc.w2.T @ g) @ dense.transpose(0, 2, 1)
-    np.testing.assert_allclose(gx, expected_gx, rtol=1e-12, atol=1e-12)
-    expected_gw2 = np.einsum("bgn,bdn->gd", g, x @ dense)
-    np.testing.assert_allclose(gc.g_w2, expected_gw2, rtol=1e-12, atol=1e-12)
+    """Forward and backward agree with the same layer written on the dense e[i, j] stack
+    and the (batch, out_dim, N) output, for either readout."""
+    for attention in (None, AttentionPool(4, rng)):
+        gc = GraphConv(3, 4, 10, rng)
+        gc.bias[...] = rng.normal(size=gc.bias.shape)
+        gc.attention = attention
+        amps = rng.uniform(0.0, 2.0, size=(5, 10))
+        x = rng.normal(size=(5, 3, 10))
+        g = rng.normal(size=(5, 4))
+        expected, expected_grads = _dense_graphconv_pool(gc, x, amps, g)
+        np.testing.assert_allclose(gc.forward(x, amps), expected, rtol=1e-12, atol=1e-12)
+        got = {"input": gc.backward(g), "w1": gc.g_w1, "w2": gc.g_w2, "bias": gc.g_bias}
+        if attention is not None:
+            got["att.w"] = attention.g_w
+        assert got.keys() == expected_grads.keys()
+        for name, value in expected_grads.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def _adjacency_only(n_features, n_nodes):
-    """A graph conv whose output is X @ E: W1 = 0, W2 = I, zero bias."""
+    """A graph conv whose output is X @ E read out by the mean: W1 = 0, W2 = I, zero bias."""
     gc = GraphConv(n_features, n_features, n_nodes, np.random.default_rng(0))
     gc.w1[...] = 0.0
     gc.w2[...] = np.eye(n_features)
@@ -132,24 +177,28 @@ def test_graphconv_batch_matches_per_sample(rng):
     x = rng.normal(size=(4, 3, 11))
     gc = _adjacency_only(3, 11)
     batch = gc.forward(x, h)
-    assert batch.shape == (4, 3, 11)
+    assert batch.shape == (4, 3)
     for b in range(4):
-        alone = gc.forward(x[b : b + 1], h[b : b + 1])[0]
-        np.testing.assert_array_equal(batch[b], alone)
-        np.testing.assert_allclose(batch[b], x[b] @ build_adjacency(h[b]), rtol=1e-12, atol=1e-12)
+        # the sample twice, as one row alone would take BLAS's matrix-vector kernel
+        alone = gc.forward(x[[b, b]], h[[b, b]])
+        np.testing.assert_array_equal(alone, [batch[b], batch[b]])
+        expected = (x[b] @ build_adjacency(h[b])).mean(axis=1)
+        np.testing.assert_allclose(batch[b], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_graphconv_recovers_dense_adjacency(rng):
-    """Identity node features turn X @ E into E: the factored product reproduces the definition."""
+    """Identity rows turn v @ E into E: the factored product reproduces the definition."""
     h = rng.uniform(0.0, 2.0, size=(3, 9))
     eye = np.broadcast_to(np.eye(9), (3, 9, 9))
     dense = np.stack([build_adjacency(row) for row in h])
-    np.testing.assert_allclose(_adjacency_only(9, 9).forward(eye, h), dense, rtol=0, atol=1e-15)
+    product = _adjacency_only(9, 9)._times_adjacency(eye, h[:, None, :])
+    np.testing.assert_allclose(product, dense, rtol=0, atol=1e-15)
 
 
 def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
     """R is built once with the layer; forward and backward reuse it."""
     gc = GraphConv(2, 3, 6, rng)
+    gc.attention = AttentionPool(3, rng)
     np.testing.assert_array_equal(gc.recip, hrrpgnn.layers.reciprocal_distance(6))
 
     def rebuilt(n_cells):
@@ -158,6 +207,30 @@ def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
     monkeypatch.setattr(hrrpgnn.layers, "reciprocal_distance", rebuilt)
     out = gc.forward(rng.normal(size=(2, 2, 6)), rng.uniform(0.5, 1.5, size=(2, 6)), training=True)
     gc.backward(rng.normal(size=out.shape))
+
+
+class _CountedRows(np.ndarray):
+    """A matrix that records the row count of every product it is the right factor of."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self:
+            self.rows.append(inputs[0].shape[:-1])
+        inputs = tuple(np.asarray(a) if a is self else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_graphconv_products_with_r_run_on_one_row_per_sample(rng):
+    """Per step, the attention readout multiplies R by 4 rows per sample (2 forward,
+    2 backward), the mean readout by 1 (forward only): never by (batch, out_dim, N)."""
+    for attention, forward_rows, backward_rows in ((None, 1, 0), (AttentionPool(4, rng), 2, 2)):
+        gc = GraphConv(3, 4, 7, rng)
+        gc.attention = attention
+        gc.recip = gc.recip.view(_CountedRows)
+        gc.recip.rows = []
+        out = gc.forward(rng.normal(size=(5, 3, 7)), rng.uniform(0.5, 1.5, size=(5, 7)), True)
+        assert gc.recip.rows == [(5,)] * forward_rows
+        gc.backward(rng.normal(size=out.shape))
+        assert gc.recip.rows == [(5,)] * (forward_rows + backward_rows)
 
 
 def test_graphconv_shape_mismatches(rng):
@@ -288,7 +361,7 @@ def test_gradient_slots_are_filled_in_place(rng):
     layers["bn"].forward(x, training=True)
     layers["bn"].backward(rng.normal(size=x.shape))
     layers["gconv"].forward(x, rng.uniform(0.5, 1.5, size=(4, 5)))
-    layers["gconv"].backward(rng.normal(size=(4, 3, 5)))
+    layers["gconv"].backward(rng.normal(size=(4, 3)))
     layers["att"].forward(x)
     layers["att"].backward(rng.normal(size=(4, 2)))
     layers["fc"].forward(rng.normal(size=(4, 2)))

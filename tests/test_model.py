@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError, UsageError
+from hrrpgnn.graphgen import build_adjacency
 from hrrpgnn.layers import BatchNorm1d, LeakyReLU, uniform_init
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
+from hrrpgnn.numerics import log_softmax, softmax
 
 
 def small_config(**kw):
@@ -82,8 +84,11 @@ def test_chain_follows_ablation():
     def names(flags):
         return [name for name, _ in GraphClassifier(replace(small_config(), ablation=flags)).chain]
 
-    assert names("abc") == ["conv1", "bn1", "act1", "conv2", "bn2", "act2", "gconv", "att", "fc"]
-    assert names("bc") == ["gconv", "att", "fc"]
+    # with module b on, the graph conv does the pooling itself
+    assert names("abc") == ["conv1", "bn1", "act1", "conv2", "bn2", "act2", "gconv", "fc"]
+    assert names("bc") == ["gconv", "fc"]
+    assert names("b") == ["gconv", "fc"]
+    assert names("ac") == ["conv1", "bn1", "act1", "conv2", "bn2", "act2", "att", "fc"]
     assert names("c") == ["att", "fc"]
 
 
@@ -178,6 +183,30 @@ def test_block_sizes_by_mode(rng, monkeypatch):
     seen.clear()
     assert model.forward_batch(np.zeros((0, 12))).shape == (0, 3)
     assert seen == [0]
+
+
+@pytest.mark.parametrize("flags", ["c", "ac", "bc", "abc"])
+def test_attention_weights_are_the_last_forwards(flags, rng):
+    """att.attention_weights() returns the weights the last forward pooled with,
+    whether att ran on its own or the graph conv read out through its scores."""
+    model = GraphClassifier(replace(small_config(), ablation=flags))
+    amps = rng.uniform(size=(5, 12))
+    for training in (True, False):
+        log_probs = model.forward_batch(amps, training=training)
+        alpha = model.att.attention_weights()
+        assert alpha.shape == (5, 12)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(5), atol=1e-12)
+        if "b" in flags:
+            # the pooled vector the head saw is Y alpha, with Y the dense graph-conv output
+            x = amps[:, None, :]
+            for _, layer in model.chain[:-2]:
+                x = layer.forward(x, training)
+            gc = model.gconv
+            y = gc.w1 @ x + gc.w2 @ (x @ np.stack([build_adjacency(a) for a in amps])) + gc.bias
+            np.testing.assert_allclose(alpha, softmax(model.att.w @ y, axis=1), atol=1e-12)
+            pooled = (y @ alpha[:, :, None])[:, :, 0]
+            np.testing.assert_allclose(log_probs, log_softmax(model.fc.forward(pooled), axis=1),
+                                       atol=1e-12)
 
 
 def test_predict_batch_argmax(rng):
@@ -314,6 +343,17 @@ def test_load_rejects_missing_tensor(tmp_path):
         GraphClassifier.load(path)
 
 
+def test_load_rejects_unknown_tensor(tmp_path):
+    model = GraphClassifier(small_config())
+    path = tmp_path / "model.json"
+    model.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tensors"]["att.b"] = {"shape": [1], "data": [0.0]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"unknown tensors: \['att.b'\]"):
+        GraphClassifier.load(path)
+
+
 def test_load_rejects_shape_mismatch(tmp_path):
     model = GraphClassifier(small_config())
     path = tmp_path / "model.json"
@@ -347,6 +387,5 @@ def test_every_chain_tensor_gets_a_gradient():
             rng = np.random.default_rng(seed)
             model.forward_batch(rng.uniform(0.1, 1.0, (8, 16)), training=True)
             model.backward(rng.integers(0, 3, 8))
-            for prefix, layer in model.chain:
-                for name, _, grad in layer.tensors(prefix):
-                    assert np.max(np.abs(grad)) > 1e-10, f"{flags} seed {seed}: {name}"
+            for name, _, grad in model.active_tensors():
+                assert np.max(np.abs(grad)) > 1e-10, f"{flags} seed {seed}: {name}"
