@@ -88,12 +88,10 @@ _GEN_DEFAULTS = {
 # the ModelConfig fields with defaults; n_cells and n_classes come from the data
 _MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING}
 
-_TRAIN_DEFAULTS = {
-    "epochs": 100,
-    "batch_size": 32,
-    "lr": 1e-3,
-    "shuffle_seed": 0,
-}
+# each training key of the flags and --config, and the TrainConfig field it sets
+_TRAIN_FIELDS = {"epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
+                 "shuffle_seed": "shuffle_seed"}
+_TRAIN_DEFAULTS = {key: getattr(TrainConfig, name) for key, name in _TRAIN_FIELDS.items()}
 
 
 # what a --config value may be, by the type of its built-in default
@@ -142,12 +140,7 @@ def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        learning_rate=resolved["lr"],
-        shuffle_seed=resolved["shuffle_seed"],
-    )
+    return TrainConfig(**{name: resolved[key] for key, name in _TRAIN_FIELDS.items()})
 
 
 def _resolve_train_data(data_arg):

@@ -142,7 +142,10 @@ def synth_generate(
         _validate_spec(spec, n_cells)
 
     rng = np.random.default_rng(seed)
-    cells = np.arange(n_cells, dtype=np.float64)
+    try:
+        cells = np.arange(n_cells, dtype=np.float64)
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
+        raise ConfigError(f"n_cells must be small enough to allocate, got {n_cells}: {exc}") from None
     samples = []
     for label, spec in enumerate(specs):
         k = len(spec.scatterers)
@@ -308,7 +311,8 @@ def load_csv(path) -> Dataset:
                 f"{manifest_file}: n_classes must be an integer above the largest label "
                 f"{max_label}, got {n_classes!r}"
             )
-        class_names = manifest.get("class_names", [f"class{i}" for i in range(n_classes)])
+        class_names = (manifest["class_names"] if "class_names" in manifest
+                       else [f"class{i}" for i in range(n_classes)])
         if not (isinstance(class_names, list) and len(class_names) == n_classes
                 and all(isinstance(name, str) for name in class_names)):
             raise DataFormatError(

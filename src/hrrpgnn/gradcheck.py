@@ -146,17 +146,11 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
 
     Runs in training mode (batch statistics active) with the actual NLL
     objective. BN running stats drift across the probe forwards but do not
-    enter the training-mode output; they are restored afterwards anyway.
+    enter the training-mode output.
     """
     model = GraphClassifier(config)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, config.n_classes, batch_size)
-
-    saved_running = {
-        name: arr.copy()
-        for name, arr in model.state_arrays().items()
-        if "running" in name
-    }
 
     amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
     if "a" in config.ablation:
@@ -179,13 +173,8 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
 
     f()
     model.backward(labels)
-    results = {name: finite_diff_check(f, param, grad)
-               for name, param, grad in model.active_tensors()}
-
-    for name, arr in model.state_arrays().items():
-        if name in saved_running:
-            arr[...] = saved_running[name]
-    return results
+    return {name: finite_diff_check(f, param, grad)
+            for name, param, grad in model.active_tensors()}
 
 
 def check_all_ablations(

@@ -189,16 +189,15 @@ class GraphClassifier:
             raise ShapeError(
                 f"samples have {amps.shape[1]} cells, model is configured for {self.config.n_cells}"
             )
-        if training:
-            self._logits = self._run_chain(amps, training=True)
-            return log_softmax(self._logits, axis=1)
-        self._logits = None
+        self._logits = None  # until a training-mode pass completes
         # an empty batch still makes one (empty) pass
-        logits = [
-            self._run_chain(amps[i : i + _EVAL_BLOCK], training=False)
-            for i in range(0, max(len(amps), 1), _EVAL_BLOCK)
+        blocks = [amps] if training else [
+            amps[i : i + _EVAL_BLOCK] for i in range(0, max(len(amps), 1), _EVAL_BLOCK)
         ]
-        return log_softmax(np.concatenate(logits), axis=1)
+        logits = np.concatenate([self._run_chain(block, training) for block in blocks])
+        if training:
+            self._logits = logits
+        return log_softmax(logits, axis=1)
 
     def _run_chain(self, amps: np.ndarray, training: bool) -> np.ndarray:
         """Logits of the enabled layers for a checked (batch, n_cells) stack."""
@@ -240,13 +239,6 @@ class GraphClassifier:
         labels = np.asarray(labels)
         self._check_labels(labels)
         return float(-log_probs[np.arange(labels.shape[0]), labels].mean())
-
-    # -- inference -------------------------------------------------------
-
-    def predict_batch(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Class indices (eval mode); ties resolve to the lowest index."""
-        log_probs = self.forward_batch(amplitudes, training=False)
-        return np.argmax(log_probs, axis=1)
 
     # -- checkpointing ----------------------------------------------------
 

@@ -48,22 +48,22 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with bias correction over a model's tensor list.
+    """Adam with bias correction over a list of (name, param, grad) triples.
 
     First and second moment estimates live per parameter tensor; the
-    update is p -= lr * m_hat / (sqrt(v_hat) + eps) applied in the model's
-    tensor order, so runs are reproducible.
+    update is p -= lr * m_hat / (sqrt(v_hat) + eps), applied to the tensors
+    in the order given, so runs are reproducible.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, model: GraphClassifier, config: TrainConfig):
-        self.config = config
+    def __init__(self, tensors, learning_rate: float):
+        self.learning_rate = learning_rate
         self.t = 0
         self._slots = [(param, grad, np.zeros_like(param), np.zeros_like(param))
-                       for _, param, grad in model.tensors()]
+                       for _, param, grad in tensors]
 
     def step(self) -> None:
         self.t += 1
@@ -74,7 +74,7 @@ class Adam:
             m += (1.0 - self.BETA1) * grad
             v *= self.BETA2
             v += (1.0 - self.BETA2) * grad * grad
-            param -= self.config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            param -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -101,14 +101,17 @@ def _checked_arrays(model: GraphClassifier, dataset: Dataset) -> tuple[np.ndarra
     return dataset.amplitude_matrix(), labels
 
 
+def _eval_chunks(model: GraphClassifier, dataset: Dataset):
+    """(eval-mode log-probabilities, labels) for each ``EVAL_CHUNK`` rows of a checked dataset."""
+    amps, labels = _checked_arrays(model, dataset)
+    for i in range(0, len(dataset), EVAL_CHUNK):
+        yield model.forward_batch(amps[i : i + EVAL_CHUNK], training=False), labels[i : i + EVAL_CHUNK]
+
+
 def dataset_loss(model: GraphClassifier, dataset: Dataset) -> float:
     """Eval-mode mean cross-entropy over a dataset."""
-    amps = dataset.amplitude_matrix()
-    labels = dataset.labels()
-    total = 0.0
-    for i in range(0, len(dataset), EVAL_CHUNK):
-        log_probs = model.forward_batch(amps[i : i + EVAL_CHUNK], training=False)
-        total += model.loss_batch(log_probs, labels[i : i + EVAL_CHUNK]) * len(labels[i : i + EVAL_CHUNK])
+    total = sum(model.loss_batch(log_probs, labels) * len(labels)
+                for log_probs, labels in _eval_chunks(model, dataset))
     return total / len(dataset)
 
 
@@ -153,7 +156,7 @@ def train(
     if epoch_callback is not None and epoch_callback(baseline):
         return log
 
-    optimizer = Adam(model, config)
+    optimizer = Adam(model.active_tensors(), config.learning_rate)
     rng = np.random.default_rng(config.shuffle_seed)
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -268,11 +271,8 @@ def metrics_from_confusion(conf: np.ndarray, class_names=None) -> Metrics:
 
 def evaluate(model: GraphClassifier, dataset: Dataset) -> Metrics:
     """Eval-mode accuracy/confusion metrics over a dataset."""
-    amps, labels = _checked_arrays(model, dataset)
-    preds = np.concatenate(
-        [model.predict_batch(amps[i : i + EVAL_CHUNK]) for i in range(0, len(dataset), EVAL_CHUNK)]
-    )
-    conf = confusion_matrix(labels, preds, model.config.n_classes)
+    conf = sum(confusion_matrix(labels, np.argmax(log_probs, axis=1), model.config.n_classes)
+               for log_probs, labels in _eval_chunks(model, dataset))
     return metrics_from_confusion(conf, dataset.class_names)
 
 

@@ -316,6 +316,11 @@ MALFORMED = {
         None, 3, "unknown tensors: ['att.b']"),
     "manifest-is-a-directory": (
         None, _csv([(0, "0.5"), (1, "0.5")], manifest=Path.mkdir), 3, "data.manifest.json"),
+    # the listed names are checked against n_classes before any generic name is built
+    "manifest-n-classes-2**70-with-class-names": (
+        None, _csv([(0, "0.5"), (1, "0.5")],
+                   manifest=json.dumps({"n_classes": 2**70, "class_names": ["x", "y"]})),
+        3, "class_names must be a list of"),
 }
 
 
@@ -460,6 +465,7 @@ BAD_NUMBERS = {
                             "--d-out", str(2**62)], "model widths"),
     "ablate-g-out-2**62": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
                             "--g-out", str(2**62)], "model widths"),
+    "gen-data-n-cells-2**62": ([*_GEN, "--n-cells", str(2**62)], "n_cells"),
 }
 
 

@@ -60,7 +60,7 @@ def test_check_model_skips_disabled_modules():
 
 
 def test_check_model_is_repeatable():
-    # running-stat restoration inside the loop makes reruns identical
+    # each call builds a fresh model from the config's seed, so reruns are identical
     cfg = ModelConfig(n_cells=8, n_classes=2, d_out=2, g_out=3, seed=0)
     first = check_model(cfg, batch_size=3, seed=0)
     second = check_model(cfg, batch_size=3, seed=0)

@@ -209,14 +209,6 @@ def test_attention_weights_are_the_last_forwards(flags, rng):
                                        atol=1e-12)
 
 
-def test_predict_batch_argmax(rng):
-    model = GraphClassifier(small_config())
-    amps = rng.uniform(size=(5, 12))
-    np.testing.assert_array_equal(
-        model.predict_batch(amps), np.argmax(model.forward_batch(amps), axis=1)
-    )
-
-
 # ---- initialization -------------------------------------------------------------
 
 

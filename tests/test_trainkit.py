@@ -31,61 +31,71 @@ def tiny_model(**kw):
 # ---- optimizer -------------------------------------------------------------------
 
 
-class _OneParamModel:
-    """Minimal tensors() provider for optimizer unit tests."""
-
-    def __init__(self, value):
-        self.p = np.array([float(value)])
-        self.g = np.zeros(1)
-
-    def tensors(self):
-        yield "p", self.p, self.g
+def _one_param(value):
+    """A single scalar tensor and its gradient slot, as Adam's (name, param, grad) list."""
+    p, g = np.array([float(value)]), np.zeros(1)
+    return [("p", p, g)], p, g
 
 
 def test_adam_first_step_magnitude():
     # unit gradient: bias correction makes the first step almost exactly -lr
-    m = _OneParamModel(0.0)
-    opt = Adam(m, TrainConfig(learning_rate=0.1))
-    m.g[...] = 1.0
+    tensors, p, g = _one_param(0.0)
+    opt = Adam(tensors, 0.1)
+    g[...] = 1.0
     opt.step()
-    assert abs(m.p[0] + 0.1) < 1e-8
+    assert abs(p[0] + 0.1) < 1e-8
 
 
 def test_adam_matches_reference_updates():
     """Five steps on a scalar against the textbook update formulas."""
-    cfg = TrainConfig(learning_rate=0.01)
-    model = _OneParamModel(1.3)
-    opt = Adam(model, cfg)
+    tensors, p, g_slot = _one_param(1.3)
+    opt = Adam(tensors, 0.01)
 
     theta = 1.3
     m = v = 0.0
     rng = np.random.default_rng(3)
     for t in range(1, 6):
         g = float(rng.normal())
-        model.g[...] = g
+        g_slot[...] = g
         opt.step()
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         theta -= 0.01 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-        assert abs(model.p[0] - theta) < 1e-12
+        assert abs(p[0] - theta) < 1e-12
 
 
 def test_adam_steps_in_place():
-    m = _OneParamModel(0.0)
-    p_ref = m.p
-    opt = Adam(m, TrainConfig())
-    m.g[...] = 1.0
+    tensors, p, g = _one_param(0.0)
+    p_ref = tensors[0][1]
+    opt = Adam(tensors, TrainConfig().learning_rate)
+    g[...] = 1.0
     opt.step()
-    assert m.p is p_ref and m.p[0] != 0.0
+    assert p is p_ref and p[0] != 0.0
 
 
 def test_adam_descends_quadratic():
-    m = _OneParamModel(5.0)
-    opt = Adam(m, TrainConfig(learning_rate=0.1))
+    tensors, p, g = _one_param(5.0)
+    opt = Adam(tensors, 0.1)
     for _ in range(500):
-        m.g[...] = 2.0 * m.p  # d/dp of p^2
+        g[...] = 2.0 * p  # d/dp of p^2
         opt.step()
-    assert abs(m.p[0]) < 1e-3
+    assert abs(p[0]) < 1e-3
+
+
+@pytest.mark.parametrize("flags", ABLATION_ORDER)
+def test_train_steps_only_the_active_tensors(flags, toy_benchmark):
+    """One epoch moves every tensor the row trains and leaves every other one as drawn."""
+    train_ds, _ = toy_benchmark
+    model = tiny_model(ablation=flags)
+    before = {name: param.copy() for name, param, _ in model.tensors()}
+    active = {name for name, _, _ in model.active_tensors()}
+    train(model, train_ds, TrainConfig(epochs=1, batch_size=16))
+    assert 3 <= len(active) <= len(before) == 12
+    for name, param, _ in model.tensors():
+        if name in active:
+            assert np.any(param != before[name]), f"{flags}: {name} did not move"
+        else:
+            assert np.array_equal(param, before[name]), f"{flags}: {name} moved"
 
 
 # ---- training loop -----------------------------------------------------------------
