@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    NORMALIZATION_MODES,
     default_three_class_specs,
     load_class_specs,
     load_csv,
@@ -40,6 +41,7 @@ from .model import GraphClassifier, ModelConfig
 from .trainkit import (
     TrainConfig,
     ablation_table,
+    check_fits,
     evaluate,
     format_confusion,
     run_ablation_suite,
@@ -49,6 +51,9 @@ from .trainkit import (
 )
 
 _ALL_OPTION_STRINGS: set[str] = set()
+
+# each --preset name and the function that builds its class specs for a cell count
+_PRESETS = {"default3": default_three_class_specs, "toy2": toy_two_class_specs}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,12 +165,10 @@ def cmd_gen_data(args) -> int:
     resolved = _merge(_GEN_DEFAULTS, args.config, args)
     if resolved["spec"] is not None:
         specs = load_class_specs(resolved["spec"])
-    elif resolved["preset"] == "default3":
-        specs = default_three_class_specs(resolved["n_cells"])
-    elif resolved["preset"] == "toy2":
-        specs = toy_two_class_specs(resolved["n_cells"])
+    elif resolved["preset"] in _PRESETS:
+        specs = _PRESETS[resolved["preset"]](resolved["n_cells"])
     else:
-        raise UsageError(f"unknown preset {resolved['preset']!r}; use default3 or toy2")
+        raise UsageError(f"unknown preset {resolved['preset']!r}; use {' or '.join(_PRESETS)}")
 
     train_ds, test_ds = make_benchmark(
         specs,
@@ -218,6 +221,7 @@ def cmd_train(args) -> int:
     val_ds = load_csv(args.val_data) if args.val_data is not None else None
     test_ds = load_csv(test_path) if test_path is not None else None
     model = GraphClassifier(_model_config(resolved, train_ds.n_cells, train_ds.n_classes))
+    check_fits(model.config, val_ds, test_ds)
     tc = _train_config(resolved)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
@@ -282,6 +286,7 @@ def cmd_ablate(args) -> int:
     train_ds = load_csv(data_dir / "train.csv")
     test_ds = load_csv(data_dir / "test.csv")
     base = _model_config(resolved, train_ds.n_cells, train_ds.n_classes)
+    check_fits(base, test_ds)
     GraphClassifier(base)  # widths too large to allocate fail here, not in every row
     tc = _train_config(resolved)
     out_dir = Path(args.out)
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic train/test benchmark")
     p.add_argument("--out", required=True, help="directory for train.csv/test.csv")
     p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--preset", choices=("default3", "toy2"), help="built-in class geometry")
+    p.add_argument("--preset", choices=_PRESETS, help="built-in class geometry")
     p.add_argument("--spec", help="class-spec JSON file (overrides --preset)")
     p.add_argument("--per-class", type=int, dest="per_class", help="training samples per class")
     p.add_argument("--test-per-class", type=int, dest="test_per_class")
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--test-offset", type=float, dest="test_offset",
                    help="scatterer shift (cells) applied to the test split")
-    p.add_argument("--normalization", choices=("max_abs", "l2", "none"))
+    p.add_argument("--normalization", choices=NORMALIZATION_MODES)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")

@@ -293,36 +293,30 @@ def load_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: no samples")
 
     manifest_file = _manifest_path(path)
-    if manifest_file.exists():
-        manifest = read_json(manifest_file, "manifest")
-        if not isinstance(manifest, dict):
-            raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
-        if "n_cells" in manifest and (
-            type(manifest["n_cells"]) is not int or manifest["n_cells"] != n_cells
-        ):
-            raise DataFormatError(
-                f"{manifest_file}: n_cells must equal the header's {n_cells} cells, "
-                f"got {manifest['n_cells']!r}"
-            )
-        max_label = max(s.label for s in samples)
-        n_classes = manifest.get("n_classes", max_label + 1)
-        if type(n_classes) is not int or n_classes <= max_label:
-            raise DataFormatError(
-                f"{manifest_file}: n_classes must be an integer above the largest label "
-                f"{max_label}, got {n_classes!r}"
-            )
-        class_names = (manifest["class_names"] if "class_names" in manifest
-                       else [f"class{i}" for i in range(n_classes)])
-        if not (isinstance(class_names, list) and len(class_names) == n_classes
-                and all(isinstance(name, str) for name in class_names)):
-            raise DataFormatError(
-                f"{manifest_file}: class_names must be a list of {n_classes} strings"
-            )
-        extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}
-    else:
-        n_classes = max(s.label for s in samples) + 1
-        class_names = [f"class{i}" for i in range(n_classes)]
-        extra = {"source": str(path)}
+    manifest = (read_json(manifest_file, "manifest") if manifest_file.exists()
+                else {"source": str(path)})
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
+    if "n_cells" in manifest and (
+        type(manifest["n_cells"]) is not int or manifest["n_cells"] != n_cells
+    ):
+        raise DataFormatError(
+            f"{manifest_file}: n_cells must equal the header's {n_cells} cells, "
+            f"got {manifest['n_cells']!r}"
+        )
+    max_label = max(s.label for s in samples)
+    n_classes = manifest.get("n_classes", max_label + 1)
+    if type(n_classes) is not int or n_classes <= max_label:
+        raise DataFormatError(
+            f"{manifest_file}: n_classes must be an integer above the largest label "
+            f"{max_label}, got {n_classes!r}"
+        )
+    class_names = (manifest["class_names"] if "class_names" in manifest
+                   else [f"class{i}" for i in range(n_classes)])
+    if not (isinstance(class_names, list) and len(class_names) == n_classes
+            and all(isinstance(name, str) for name in class_names)):
+        raise DataFormatError(f"{manifest_file}: class_names must be a list of {n_classes} strings")
+    extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}
     return Dataset(samples, n_cells, n_classes, class_names, extra)
 
 

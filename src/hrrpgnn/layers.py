@@ -242,10 +242,10 @@ class GraphConv(_Layer):
         self.attention = None
 
     def _times_adjacency(self, v: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """v @ E for rows v of length N: ((v * h) @ R) * h.
+        """v @ E for (batch, N) rows v, row i against sample i's E: ((v * h) @ R) * h.
 
         E is symmetric, so this is also E v. R is shared by every sample, so
-        every leading axis folds into the rows of a single product with R.
+        the whole batch runs as one (batch, N) @ (N, N) product with R.
         """
         out = (v * h) @ self.recip
         out *= h

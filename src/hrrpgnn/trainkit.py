@@ -87,23 +87,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
     return batches
 
 
-def _checked_arrays(model: GraphClassifier, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset's amplitude matrix and labels, after checking they fit the model."""
-    if dataset.n_cells != model.config.n_cells:
-        raise ConfigError(
-            f"dataset has {dataset.n_cells} cells, model expects {model.config.n_cells}"
-        )
-    labels = dataset.labels()
-    if labels.max() >= model.config.n_classes:
-        raise ConfigError(
-            f"dataset labels reach {labels.max()}, model has {model.config.n_classes} classes"
-        )
-    return dataset.amplitude_matrix(), labels
+def check_fits(config: ModelConfig, *datasets: Dataset | None) -> None:
+    """Raise ``ConfigError`` unless each given dataset has the model's cell and class counts."""
+    for ds in datasets:
+        if ds is not None and (ds.n_cells, ds.n_classes) != (config.n_cells, config.n_classes):
+            raise ConfigError(
+                f"dataset has {ds.n_cells} cells and {ds.n_classes} classes, "
+                f"model has {config.n_cells} cells and {config.n_classes} classes"
+            )
 
 
 def _eval_chunks(model: GraphClassifier, dataset: Dataset):
-    """(eval-mode log-probabilities, labels) for each ``EVAL_CHUNK`` rows of a checked dataset."""
-    amps, labels = _checked_arrays(model, dataset)
+    """(eval-mode log-probabilities, labels) for each ``EVAL_CHUNK`` rows of a fitting dataset."""
+    check_fits(model.config, dataset)
+    amps, labels = dataset.amplitude_matrix(), dataset.labels()
     for i in range(0, len(dataset), EVAL_CHUNK):
         yield model.forward_batch(amps[i : i + EVAL_CHUNK], training=False), labels[i : i + EVAL_CHUNK]
 
@@ -135,7 +132,8 @@ def train(
     """
     if len(dataset) < 2:
         raise ConfigError(f"training needs at least 2 samples, got {len(dataset)}")
-    amps, labels = _checked_arrays(model, dataset)
+    check_fits(model.config, dataset, val_dataset)
+    amps, labels = dataset.amplitude_matrix(), dataset.labels()
 
     def val_columns(row):
         metrics = evaluate(model, val_dataset) if val_dataset is not None else None
@@ -306,9 +304,11 @@ def run_ablation_suite(
 
     A failure inside one configuration is captured in that row's ``error``
     field and the sweep continues, so one bad config cannot sink the table.
+    A dataset that does not fit ``model_config`` raises before the first row.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    check_fits(model_config, train_ds, test_ds)
     results = []
     for flags in ABLATION_ORDER:
         row = {

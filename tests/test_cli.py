@@ -14,7 +14,7 @@ from hrrpgnn.errors import (
     ShapeError,
     UsageError,
 )
-from hrrpgnn.model import GraphClassifier
+from hrrpgnn.model import GraphClassifier, ModelConfig
 
 
 def run(*argv):
@@ -258,6 +258,12 @@ def _csv(rows, manifest=None):
     return make
 
 
+def _three_class_checkpoint(trained, tmp_path):
+    path = tmp_path / "model.json"
+    GraphClassifier(ModelConfig(n_cells=16, n_classes=3, d_out=2, g_out=2)).save(path)
+    return path
+
+
 # (checkpoint maker or None for the trained one, CSV maker or None for test.csv,
 #  exit code, text the error line must contain)
 MALFORMED = {
@@ -291,6 +297,14 @@ MALFORMED = {
         None, 3, "fc.b"),
     "3-class-csv-on-2-class-checkpoint": (
         None, _csv([(0, "0.5"), (1, "0.5"), (2, "0.5")]), 2, "2 classes"),
+    # the class count a manifest declares must be the model's, whatever labels occur
+    "3-declared-classes-on-2-class-checkpoint": (
+        None, _csv([(0, "0.5"), (1, "0.5")],
+                   manifest=json.dumps({"n_classes": 3, "class_names": ["left", "right", "extra"]})),
+        2, "dataset has 16 cells and 3 classes, model has 16 cells and 2 classes"),
+    "2-declared-classes-on-3-class-checkpoint": (
+        _three_class_checkpoint, None, 2,
+        "dataset has 16 cells and 2 classes, model has 16 cells and 3 classes"),
     "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
     "negative-amplitude-in-csv": (None, _csv([(0, "0.5"), (1, "-0.5")]), 3, "line 3"),
     "manifest-string-n-classes": (
@@ -338,6 +352,42 @@ def test_malformed_input_exit_codes(case, gen_dir, run_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert expected in err
+
+
+@pytest.fixture(scope="module")
+def misfit_dir(tmp_path_factory, gen_dir):
+    """gen_dir's 16-cell train split beside a 20-cell test split."""
+    wide = tmp_path_factory.mktemp("wide")
+    assert run("gen-data", "--preset", "toy2", "--n-cells", "20", "--per-class", "2",
+               "--test-per-class", "2", "--out", str(wide)) == 0
+    d = tmp_path_factory.mktemp("misfit")
+    for src, name in ((gen_dir, "train.csv"), (gen_dir, "train.manifest.json"),
+                      (wide, "test.csv"), (wide, "test.manifest.json")):
+        (d / name).write_bytes((src / name).read_bytes())
+    return d
+
+
+# a split that does not fit the model is rejected before --out exists or training starts
+MISFIT_SPLITS = {
+    "train-test-split": ["train", "--data", "{misfit}"],
+    "train-val-data": ["train", "--data", "{gen}/train.csv", "--val-data", "{misfit}/test.csv"],
+    "ablate-test-split": ["ablate", "--data", "{misfit}", "--seeds", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_SPLITS))
+def test_misfit_split_rejected_before_out(case, gen_dir, misfit_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [a.format(gen=gen_dir, misfit=misfit_dir) for a in MISFIT_SPLITS[case]]
+    capsys.readouterr()
+    rc = run(*argv, "--out", str(out), "--epochs", "1", "--d-out", "2", "--g-out", "2")
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.splitlines() == [
+        "error: dataset has 20 cells and 2 classes, model has 16 cells and 2 classes"
+    ]
+    assert captured.out == ""  # no epoch line: nothing trained
+    assert not out.exists()
 
 
 def test_empty_class_warning_is_one_line(run_dir, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Seeded mutation fuzz of the CLI's input contract.
 
 Each case takes one valid input file (a checkpoint, a dataset CSV, its
-manifest, a class-spec file or a --config file), damages it once and runs
-the command that reads it through ``cli.main`` in-process. Whatever the
+manifest, a test split's manifest, a class-spec file or a --config file),
+damages it once and runs the command that reads it through ``cli.main``
+in-process. Whatever the
 damage, the run must end in a documented exit code, a rejection must be one
 stderr line without a traceback, no temp file may be left behind, and a
 rejected run must not have created its --out directory. Every run passes the
@@ -35,6 +36,9 @@ TARGETS = {
     "manifest": ("gen/train.manifest.json",
                  ["train", "--data", "{dir}/train.csv", "--out", "{out}", "--d-out", "2",
                   "--g-out", "2", *_TINY], True),
+    "test-manifest": ("gen/test.manifest.json",
+                      ["train", "--data", "{dir}", "--out", "{out}", "--d-out", "2", "--g-out", "2",
+                       *_TINY], True),
     "class-specs": ("gen/class_specs.json",
                     ["gen-data", "--spec", "{file}", *_SIZES, "--out", "{out}"], True),
     "gen-data-config": ("gen-config.json",
@@ -108,7 +112,7 @@ def test_damaged_input_keeps_the_contract(target, seed, base, tmp_path, capsys):
     # the damaged file takes the base file's name, beside a copy of its dataset's other files
     work = tmp_path / "in"
     work.mkdir()
-    for name in ("train.csv", "train.manifest.json"):
+    for name in ("train.csv", "train.manifest.json", "test.csv", "test.manifest.json"):
         (work / name).write_bytes((base / "gen" / name).read_bytes())
     path = work / source.rsplit("/", 1)[-1]
     path.write_bytes(damaged)

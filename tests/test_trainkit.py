@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,8 +156,22 @@ def test_train_rejects_mismatched_data(toy_benchmark):
 def test_evaluate_rejects_more_classes_than_model(toy_benchmark):
     # the toy data has labels 0 and 1; a one-class model cannot score label 1
     _, test_ds = toy_benchmark
-    with pytest.raises(ConfigError, match="labels reach 1"):
+    with pytest.raises(ConfigError, match="2 classes, model has 32 cells and 1 classes"):
         evaluate(tiny_model(n_classes=1), test_ds)
+
+
+def test_declared_class_count_must_match_the_model(toy_benchmark):
+    # the labels (0 and 1) fit a 2-class model, but the declared 3 classes do not
+    train_ds, test_ds = toy_benchmark
+    three = replace(test_ds, n_classes=3, class_names=["left", "right", "extra"])
+    model = tiny_model()
+    for call in (lambda: evaluate(model, three), lambda: dataset_loss(model, three),
+                 lambda: train(model, train_ds, TrainConfig(epochs=1), val_dataset=three)):
+        with pytest.raises(ConfigError, match="3 classes, model has 32 cells and 2 classes"):
+            call()
+    assert model.step_count == 0
+    with pytest.raises(ConfigError, match="2 classes, model has 32 cells and 3 classes"):
+        evaluate(tiny_model(n_classes=3), test_ds)
 
 
 def test_val_columns_present_with_val_set(toy_benchmark):
@@ -293,6 +308,17 @@ def test_ablation_rows_carry_loss_trajectory(micro_ablation):
     for row in micro_ablation:
         for e0, ef in zip(row["epoch0_loss"], row["final_loss"]):
             assert e0 > 0.0 and ef > 0.0
+
+
+def test_ablation_suite_rejects_a_misfit_split_before_its_first_row(toy_benchmark):
+    train_ds, _ = toy_benchmark
+    wide_test = synth_generate(toy_two_class_specs(40), per_class=2, n_cells=40, seed=0)
+    mc = ModelConfig(n_cells=32, n_classes=2, d_out=2, g_out=2)
+    rows = []
+    with pytest.raises(ConfigError, match="dataset has 40 cells and 2 classes, model has 32 cells"):
+        run_ablation_suite(train_ds, wide_test, mc, TrainConfig(epochs=1), [0],
+                           progress=lambda *row: rows.append(row))
+    assert rows == []
 
 
 def test_ablation_table_and_csv(tmp_path, micro_ablation):
