@@ -215,13 +215,14 @@ def cmd_train(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
     resolved = _merge(defaults, args.config, args)
     train_path, test_path = _resolve_train_data(args.data)
+    test_name = str(test_path)
     if args.test_data is not None:
-        test_path = Path(args.test_data)
+        test_path, test_name = Path(args.test_data), f"--test-data {args.test_data}"
     train_ds = load_csv(train_path)
     val_ds = load_csv(args.val_data) if args.val_data is not None else None
     test_ds = load_csv(test_path) if test_path is not None else None
     model = GraphClassifier(_model_config(resolved, train_ds.n_cells, train_ds.n_classes))
-    check_fits(model.config, val_ds, test_ds)
+    check_fits(model.config, (f"--val-data {args.val_data}", val_ds), (test_name, test_ds))
     tc = _train_config(resolved)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
@@ -258,6 +259,7 @@ def _metrics_csv(metrics) -> str:
 def cmd_eval(args) -> int:
     model = GraphClassifier.load(args.checkpoint)
     dataset = load_csv(args.data)
+    check_fits(model.config, (f"--data {args.data}", dataset))
     metrics = evaluate(model, dataset)
     print(f"samples          {metrics.n_samples}")
     print(f"accuracy         {metrics.accuracy:.2f}%")
@@ -286,7 +288,7 @@ def cmd_ablate(args) -> int:
     train_ds = load_csv(data_dir / "train.csv")
     test_ds = load_csv(data_dir / "test.csv")
     base = _model_config(resolved, train_ds.n_cells, train_ds.n_classes)
-    check_fits(base, test_ds)
+    check_fits(base, (str(data_dir / "test.csv"), test_ds))
     GraphClassifier(base)  # widths too large to allocate fail here, not in every row
     tc = _train_config(resolved)
     out_dir = Path(args.out)

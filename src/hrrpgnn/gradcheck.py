@@ -174,7 +174,7 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
     f()
     model.backward(labels)
     return {name: finite_diff_check(f, param, grad)
-            for name, param, grad in model.active_tensors()}
+            for name, param, grad in model.tensors()}
 
 
 def check_all_ablations(

@@ -38,7 +38,7 @@ from .layers import (
 from .numerics import log_softmax, softmax
 
 CHECKPOINT_FORMAT = "hrrpgnn-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # The seven legal configurations, in the canonical reporting order.
@@ -82,87 +82,67 @@ class ModelConfig:
 
 
 class GraphClassifier:
-    """The network with all parameter tensors, gradient slots, and wiring.
+    """The network of one ablation row: its layers, their tensors, and the wiring.
 
     Parameters are drawn deterministically from one generator seeded with
-    ``config.seed``, layer by layer in construction order (conv1, conv2,
-    gconv, att, fc): weights uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)),
-    gconv and fc biases zero, BN gamma 1 / beta 0 with running stats (0, 1).
-    Every layer is always constructed (so checkpoints have a stable tensor
-    set for a given config) but only the layers in ``chain`` run. With
-    module b on, the graph conv also does the pooling, with att's weights
-    when module c is on. Tensors outside ``active_tensors`` keep zero
-    gradients. Widths too large to allocate are a ConfigError.
+    ``config.seed``, layer by layer in a fixed order (conv1, conv2, gconv,
+    att, fc) whatever the row: weights uniform(-sqrt(1/fan_in),
+    +sqrt(1/fan_in)), gconv and fc biases zero, BN gamma 1 / beta 0 with
+    running stats (0, 1). So a tensor starts the same in every row that
+    has it. The model then keeps only the layers in ``chain``, plus att
+    when the graph conv reads out through its scores (module b with c);
+    the attribute of a dropped layer is None. Widths too large to allocate
+    are a ConfigError.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
         try:
-            self.conv1 = Conv1d(1, config.d_out, rng)
-            self.bn1 = BatchNorm1d(config.d_out)
-            self.act1 = LeakyReLU()
-            self.conv2 = Conv1d(config.d_out, config.d_out, rng)
-            self.bn2 = BatchNorm1d(config.d_out)
-            self.act2 = LeakyReLU()
-            self.gconv = GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng)
-            self.att = AttentionPool(config.head_dim, rng)
-            self.mean_pool = MeanPool()
-            self.fc = Dense(config.head_dim, config.n_classes, rng)
+            built = {
+                "conv1": Conv1d(1, config.d_out, rng),
+                "bn1": BatchNorm1d(config.d_out),
+                "act1": LeakyReLU(),
+                "conv2": Conv1d(config.d_out, config.d_out, rng),
+                "bn2": BatchNorm1d(config.d_out),
+                "act2": LeakyReLU(),
+                "gconv": GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng),
+                "att": AttentionPool(config.head_dim, rng),
+                "mean_pool": MeanPool(),
+                "fc": Dense(config.head_dim, config.n_classes, rng),
+            }
         except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
             raise ConfigError(f"model widths must be small enough to allocate, got "
                               f"d_out={config.d_out}, g_out={config.g_out}: {exc}") from None
         flags = config.ablation
-        if "b" in flags:
-            # the graph conv pools its own output, through att's scores or by the mean
-            self.gconv.attention = self.att if "c" in flags else None
-            readout = [("gconv", self.gconv)]
-        else:
-            readout = [("att", self.att) if "c" in flags else ("mean_pool", self.mean_pool)]
+        readout = "gconv" if "b" in flags else "att" if "c" in flags else "mean_pool"
         # the (name, layer) pairs that run, in forward order
-        self.chain = (
-            ([("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
-              ("conv2", self.conv2), ("bn2", self.bn2), ("act2", self.act2)]
-             if "a" in flags else [])
-            + readout
-            + [("fc", self.fc)]
-        )
+        self.chain = [(name, built[name]) for name in
+                      (["conv1", "bn1", "act1", "conv2", "bn2", "act2"] if "a" in flags else [])
+                      + [readout, "fc"]]
+        kept = {name for name, _ in self.chain}
+        if "b" in flags and "c" in flags:
+            # the graph conv pools its own output through att's scores (else by the mean)
+            built["gconv"].attention = built["att"]
+            kept.add("att")
+        # the row's layers in checkpoint order; a dropped layer's attribute is None
+        self._kept = [(name, layer) for name, layer in built.items() if name in kept]
+        for name, layer in built.items():
+            setattr(self, name, layer if name in kept else None)
         self._logits = None
         self.step_count = 0
 
     # -- parameters ----------------------------------------------------
 
-    def _layers(self):
-        yield "conv1", self.conv1
-        yield "bn1", self.bn1
-        yield "conv2", self.conv2
-        yield "bn2", self.bn2
-        yield "gconv", self.gconv
-        yield "att", self.att
-        yield "fc", self.fc
-
     def tensors(self):
-        """All trainable (name, param, grad) triples in a fixed order."""
-        for prefix, layer in self._layers():
+        """The row's trainable (name, param, grad) triples, in checkpoint order."""
+        for prefix, layer in self._kept:
             yield from layer.tensors(prefix)
 
-    def active_tensors(self):
-        """The (name, param, grad) triples the enabled modules train, in checkpoint order.
-
-        These are the tensors of the chain's layers plus ``att.w`` when the
-        graph conv reads out through it; every other gradient stays zero.
-        """
-        active = {name for name, _ in self.chain}
-        if self.gconv.attention is not None:
-            active.add("att")
-        for prefix, layer in self._layers():
-            if prefix in active:
-                yield from layer.tensors(prefix)
-
     def state_arrays(self) -> dict:
-        """Every persistent tensor (parameters plus BN running stats), by name."""
+        """Every persistent tensor (parameters, plus BN running stats with module a), by name."""
         state = {name: param for name, param, _ in self.tensors()}
-        for prefix, layer in self._layers():
+        for prefix, layer in self._kept:
             if isinstance(layer, BatchNorm1d):
                 state[f"{prefix}.running_mean"] = layer.running_mean
                 state[f"{prefix}.running_var"] = layer.running_var

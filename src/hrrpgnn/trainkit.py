@@ -87,19 +87,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
     return batches
 
 
-def check_fits(config: ModelConfig, *datasets: Dataset | None) -> None:
-    """Raise ``ConfigError`` unless each given dataset has the model's cell and class counts."""
-    for ds in datasets:
+def check_fits(config: ModelConfig, *named: tuple[str, Dataset | None]) -> None:
+    """Raise ``ConfigError``, naming the split, unless each given (name, dataset)
+    has the model's cell and class counts; a None dataset is skipped."""
+    for name, ds in named:
         if ds is not None and (ds.n_cells, ds.n_classes) != (config.n_cells, config.n_classes):
             raise ConfigError(
-                f"dataset has {ds.n_cells} cells and {ds.n_classes} classes, "
+                f"{name} has {ds.n_cells} cells and {ds.n_classes} classes, "
                 f"model has {config.n_cells} cells and {config.n_classes} classes"
             )
 
 
 def _eval_chunks(model: GraphClassifier, dataset: Dataset):
     """(eval-mode log-probabilities, labels) for each ``EVAL_CHUNK`` rows of a fitting dataset."""
-    check_fits(model.config, dataset)
+    check_fits(model.config, ("dataset", dataset))
     amps, labels = dataset.amplitude_matrix(), dataset.labels()
     for i in range(0, len(dataset), EVAL_CHUNK):
         yield model.forward_batch(amps[i : i + EVAL_CHUNK], training=False), labels[i : i + EVAL_CHUNK]
@@ -132,7 +133,7 @@ def train(
     """
     if len(dataset) < 2:
         raise ConfigError(f"training needs at least 2 samples, got {len(dataset)}")
-    check_fits(model.config, dataset, val_dataset)
+    check_fits(model.config, ("training set", dataset), ("validation set", val_dataset))
     amps, labels = dataset.amplitude_matrix(), dataset.labels()
 
     def val_columns(row):
@@ -154,7 +155,7 @@ def train(
     if epoch_callback is not None and epoch_callback(baseline):
         return log
 
-    optimizer = Adam(model.active_tensors(), config.learning_rate)
+    optimizer = Adam(model.tensors(), config.learning_rate)
     rng = np.random.default_rng(config.shuffle_seed)
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -308,7 +309,7 @@ def run_ablation_suite(
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    check_fits(model_config, train_ds, test_ds)
+    check_fits(model_config, ("training set", train_ds), ("test set", test_ds))
     results = []
     for flags in ABLATION_ORDER:
         row = {

@@ -264,6 +264,14 @@ def _three_class_checkpoint(trained, tmp_path):
     return path
 
 
+def _row_a_checkpoint(trained, tmp_path):
+    """A fresh row-a checkpoint that also stores a graph-conv weight."""
+    path = tmp_path / "model.json"
+    GraphClassifier(ModelConfig(n_cells=16, n_classes=2, d_out=2, g_out=3, ablation="a")).save(path)
+    extra = {"gconv.w1": {"shape": [3, 2], "data": [0.0] * 6}}
+    return _corrupt_checkpoint(lambda p: p["tensors"].update(extra))(path, tmp_path)
+
+
 # (checkpoint maker or None for the trained one, CSV maker or None for test.csv,
 #  exit code, text the error line must contain)
 MALFORMED = {
@@ -301,10 +309,10 @@ MALFORMED = {
     "3-declared-classes-on-2-class-checkpoint": (
         None, _csv([(0, "0.5"), (1, "0.5")],
                    manifest=json.dumps({"n_classes": 3, "class_names": ["left", "right", "extra"]})),
-        2, "dataset has 16 cells and 3 classes, model has 16 cells and 2 classes"),
+        2, "/data.csv has 16 cells and 3 classes, model has 16 cells and 2 classes"),
     "2-declared-classes-on-3-class-checkpoint": (
         _three_class_checkpoint, None, 2,
-        "dataset has 16 cells and 2 classes, model has 16 cells and 3 classes"),
+        "/test.csv has 16 cells and 2 classes, model has 16 cells and 3 classes"),
     "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
     "negative-amplitude-in-csv": (None, _csv([(0, "0.5"), (1, "-0.5")]), 3, "line 3"),
     "manifest-string-n-classes": (
@@ -325,6 +333,14 @@ MALFORMED = {
         _corrupt_checkpoint(lambda p: p.update(version=1)), None, 3, "version 1"),
     "version-2-checkpoint": (
         _corrupt_checkpoint(lambda p: p.update(version=2)), None, 3, "version 2"),
+    "version-3-checkpoint": (
+        _corrupt_checkpoint(lambda p: p.update(version=3)), None, 3, "version 3"),
+    # a checkpoint holds exactly its row's tensors, BN running statistics included
+    "row-a-with-a-gconv-tensor": (
+        _row_a_checkpoint, None, 3, "unknown tensors: ['gconv.w1']"),
+    "abc-without-bn1-running-mean": (
+        _corrupt_checkpoint(lambda p: p["tensors"].pop("bn1.running_mean")), None, 3,
+        "missing tensors: ['bn1.running_mean']"),
     "extra-tensor": (
         _corrupt_checkpoint(lambda p: p["tensors"].update({"att.b": {"shape": [1], "data": [0.0]}})),
         None, 3, "unknown tensors: ['att.b']"),
@@ -368,23 +384,31 @@ def misfit_dir(tmp_path_factory, gen_dir):
 
 
 # a split that does not fit the model is rejected before --out exists or training starts
+# (command, the name its error gives the split)
 MISFIT_SPLITS = {
-    "train-test-split": ["train", "--data", "{misfit}"],
-    "train-val-data": ["train", "--data", "{gen}/train.csv", "--val-data", "{misfit}/test.csv"],
-    "ablate-test-split": ["ablate", "--data", "{misfit}", "--seeds", "1"],
+    "train-test-split": (["train", "--data", "{misfit}"], "{misfit}/test.csv"),
+    "train-val-data": (
+        ["train", "--data", "{gen}/train.csv", "--val-data", "{misfit}/test.csv"],
+        "--val-data {misfit}/test.csv"),
+    "train-test-data": (
+        ["train", "--data", "{gen}/train.csv", "--test-data", "{misfit}/test.csv"],
+        "--test-data {misfit}/test.csv"),
+    "ablate-test-split": (["ablate", "--data", "{misfit}", "--seeds", "1"], "{misfit}/test.csv"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MISFIT_SPLITS))
 def test_misfit_split_rejected_before_out(case, gen_dir, misfit_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    argv = [a.format(gen=gen_dir, misfit=misfit_dir) for a in MISFIT_SPLITS[case]]
+    command, split = MISFIT_SPLITS[case]
+    argv = [a.format(gen=gen_dir, misfit=misfit_dir) for a in command]
     capsys.readouterr()
     rc = run(*argv, "--out", str(out), "--epochs", "1", "--d-out", "2", "--g-out", "2")
     captured = capsys.readouterr()
     assert rc == 2, captured.err
     assert captured.err.splitlines() == [
-        "error: dataset has 20 cells and 2 classes, model has 16 cells and 2 classes"
+        f"error: {split.format(misfit=misfit_dir)} has 20 cells and 2 classes, "
+        "model has 16 cells and 2 classes"
     ]
     assert captured.out == ""  # no epoch line: nothing trained
     assert not out.exists()

@@ -105,6 +105,9 @@ def test_normalize_l2_example():
     ds = Dataset([_sample([3.0, 4.0, 0.0], 0)], 3, 1, ["a"])
     out = normalize(ds, "l2")
     np.testing.assert_allclose(out.samples[0].amplitudes, [0.6, 0.8, 0.0], atol=1e-15)
+    # a profile whose norm is below 1 is scaled up to unit norm too
+    out = normalize(Dataset([_sample([0.3, 0.4, 0.0], 0)], 3, 1, ["a"]), "l2")
+    np.testing.assert_allclose(out.samples[0].amplitudes, [0.6, 0.8, 0.0], atol=1e-15)
 
 
 def test_normalize_none_and_zero_sample_passthrough():

@@ -238,7 +238,7 @@ def test_init_draw_order():
     """Weights are uniform_init draws from one default_rng(seed), in a fixed order.
 
     The order is conv1, conv2, gconv (w1 then w2), att, fc for every ablation,
-    whether or not the layer runs; everything else starts at its constant.
+    whether or not the row keeps the layer; everything else starts at its constant.
     """
     for flags in ABLATION_ORDER:
         for seed in (0, 7):
@@ -357,14 +357,17 @@ def test_load_rejects_shape_mismatch(tmp_path):
         GraphClassifier.load(path)
 
 
-def test_disabled_layers_keep_zero_grads(rng):
+def test_disabled_layers_are_absent(rng):
+    """Row bc holds no conv block: no attribute, tensor or running statistic of it."""
     model = GraphClassifier(replace(small_config(), ablation="bc"))
-    amps = rng.uniform(size=(4, 12))
-    model.forward_batch(amps, training=True)
+    for name in ("conv1", "bn1", "act1", "conv2", "bn2", "act2", "mean_pool"):
+        assert getattr(model, name) is None, name
+    assert model.gconv.attention is model.att
+    assert not [name for name in model.state_arrays() if name.startswith(("conv", "bn"))]
+    model.forward_batch(rng.uniform(size=(4, 12)), training=True)
     model.backward(np.array([0, 1, 2, 0]))
-    grads = dict((name, g) for name, _, g in model.tensors())
-    assert np.all(grads["conv1.kernels"] == 0.0)
-    assert np.all(grads["bn1.gamma"] == 0.0)
+    grads = {name: g for name, _, g in model.tensors()}
+    assert sorted(grads) == ["att.w", "fc.b", "fc.w", "gconv.bias", "gconv.w1", "gconv.w2"]
     assert np.any(grads["gconv.w1"] != 0.0)
     assert np.any(grads["att.w"] != 0.0)
 
@@ -379,5 +382,5 @@ def test_every_chain_tensor_gets_a_gradient():
             rng = np.random.default_rng(seed)
             model.forward_batch(rng.uniform(0.1, 1.0, (8, 16)), training=True)
             model.backward(rng.integers(0, 3, 8))
-            for name, _, grad in model.active_tensors():
+            for name, _, grad in model.tensors():
                 assert np.max(np.abs(grad)) > 1e-10, f"{flags} seed {seed}: {name}"

@@ -53,6 +53,9 @@ def test_log_softmax_matches_log_of_softmax(rng):
     for _ in range(100):
         v = rng.normal(0.0, 5.0, size=rng.integers(1, 10))
         np.testing.assert_allclose(log_softmax(v), np.log(softmax(v)), atol=1e-12)
+    # logits near 1000 would overflow exp() without the max shift
+    tail = math.log1p(math.exp(-1.0))
+    np.testing.assert_allclose(log_softmax([1000.0, 999.0]), [-tail, -1.0 - tail], atol=1e-12)
 
 
 def test_log_softmax_exp_sums_to_one(rng):

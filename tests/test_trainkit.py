@@ -10,6 +10,7 @@ from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.trainkit import (
     Adam,
     TrainConfig,
+    _batches,
     ablation_table,
     confusion_matrix,
     dataset_loss,
@@ -83,20 +84,34 @@ def test_adam_descends_quadratic():
     assert abs(p[0]) < 1e-3
 
 
+_CONV = ["conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta"]
+_GCONV = ["gconv.w1", "gconv.w2", "gconv.bias"]
+_FC = ["fc.w", "fc.b"]
+# each row's tensors in checkpoint order: a 8, b 5, c 3, ab 11, ac 9, bc 6, abc 12
+ROW_TENSORS = {
+    "a": _CONV + _FC,
+    "b": _GCONV + _FC,
+    "c": ["att.w"] + _FC,
+    "ab": _CONV + _GCONV + _FC,
+    "ac": _CONV + ["att.w"] + _FC,
+    "bc": _GCONV + ["att.w"] + _FC,
+    "abc": _CONV + _GCONV + ["att.w"] + _FC,
+}
+
+
 @pytest.mark.parametrize("flags", ABLATION_ORDER)
-def test_train_steps_only_the_active_tensors(flags, toy_benchmark):
-    """One epoch moves every tensor the row trains and leaves every other one as drawn."""
+def test_row_holds_and_trains_only_its_tensors(flags, toy_benchmark):
+    """A row's model holds exactly its tensors, plus BN running statistics with
+    module a, and one epoch moves every one of them."""
     train_ds, _ = toy_benchmark
     model = tiny_model(ablation=flags)
     before = {name: param.copy() for name, param, _ in model.tensors()}
-    active = {name for name, _, _ in model.active_tensors()}
+    assert list(before) == ROW_TENSORS[flags]
+    running = [f"bn{i}.running_{s}" for i in (1, 2) for s in ("mean", "var")] if "a" in flags else []
+    assert list(model.state_arrays()) == ROW_TENSORS[flags] + running
     train(model, train_ds, TrainConfig(epochs=1, batch_size=16))
-    assert 3 <= len(active) <= len(before) == 12
     for name, param, _ in model.tensors():
-        if name in active:
-            assert np.any(param != before[name]), f"{flags}: {name} did not move"
-        else:
-            assert np.array_equal(param, before[name]), f"{flags}: {name} moved"
+        assert np.any(param != before[name]), f"{flags}: {name} did not move"
 
 
 # ---- training loop -----------------------------------------------------------------
@@ -143,6 +158,47 @@ def test_trailing_singleton_batch_folds_into_previous():
     model = tiny_model(n_cells=16)
     log = train(model, ds, TrainConfig(epochs=1, batch_size=16))
     assert log[-1]["epoch"] == 1  # completes despite 33 = 16 + 16 + 1
+
+
+@pytest.mark.parametrize("n, sizes", [(2, [2]), (33, [33]), (34, [32, 2]), (64, [32, 32]),
+                                      (65, [32, 33])], ids=["n2", "n33", "n34", "n64", "n65"])
+def test_batches_partition_the_samples_without_a_singleton(n, sizes):
+    """At batch 32, a trailing batch of 1 folds into the one before it; nothing else moves."""
+    batches = _batches(n, 32, np.random.default_rng(0))
+    assert [len(b) for b in batches] == sizes
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+
+
+def test_epoch_row_is_the_mean_over_its_training_batches(toy_benchmark, monkeypatch):
+    """An epoch's train_loss is the sample-weighted mean of its training-mode batch
+    losses, and its train_accuracy the share of those batches' rows predicted right."""
+    train_ds, _ = toy_benchmark
+    model = tiny_model()
+    forward, loss = model.forward_batch, model.loss_batch
+    mode, batches = [], []
+
+    def forward_spy(amps, training=False):
+        mode[:] = [training]
+        return forward(amps, training)
+
+    def loss_spy(log_probs, labels):
+        value = loss(log_probs, labels)
+        if mode == [True]:
+            correct = int((np.argmax(log_probs, axis=1) == labels).sum())
+            batches.append((value, len(labels), correct))
+        return value
+
+    monkeypatch.setattr(model, "forward_batch", forward_spy)
+    monkeypatch.setattr(model, "loss_batch", loss_spy)
+    log = train(model, train_ds, TrainConfig(epochs=2, batch_size=16))
+    n = len(train_ds)
+    assert n == 100 and len(batches) == 14  # per epoch, six batches of 16 and one of 4
+    for row, epoch in zip(log[1:], (batches[:7], batches[7:])):
+        assert [size for _, size, _ in epoch] == [16] * 6 + [4]
+        weighted = sum(value * size for value, size, _ in epoch)
+        assert row["train_loss"] == pytest.approx(weighted / n, rel=1e-12)
+        assert row["train_accuracy"] == pytest.approx(
+            100.0 * sum(correct for _, _, correct in epoch) / n, rel=1e-12)
 
 
 def test_train_rejects_mismatched_data(toy_benchmark):
@@ -259,6 +315,11 @@ def test_metrics_macro_f1_known_value():
     f1_1 = 2 * (6 / 8) * (6 / 10) / ((6 / 8) + (6 / 10))
     m = metrics_from_confusion(conf)
     assert abs(m.macro_f1 - 100.0 * (f1_0 + f1_1) / 2.0) < 1e-12
+    # class 1 predicted exactly once, rightly: p=1/1, r=1/3; class 0: p=5/7, r=1
+    f1_0 = 2 * (5 / 7) / ((5 / 7) + 1)
+    f1_1 = 2 * (1 / 3) / (1 + (1 / 3))
+    m = metrics_from_confusion(np.array([[5, 0], [2, 1]]))
+    assert abs(m.macro_f1 - 100.0 * (f1_0 + f1_1) / 2.0) < 1e-12
 
 
 def test_metrics_empty_class_warns():
@@ -315,7 +376,7 @@ def test_ablation_suite_rejects_a_misfit_split_before_its_first_row(toy_benchmar
     wide_test = synth_generate(toy_two_class_specs(40), per_class=2, n_cells=40, seed=0)
     mc = ModelConfig(n_cells=32, n_classes=2, d_out=2, g_out=2)
     rows = []
-    with pytest.raises(ConfigError, match="dataset has 40 cells and 2 classes, model has 32 cells"):
+    with pytest.raises(ConfigError, match="test set has 40 cells and 2 classes, model has 32 cells"):
         run_ablation_suite(train_ds, wide_test, mc, TrainConfig(epochs=1), [0],
                            progress=lambda *row: rows.append(row))
     assert rows == []
