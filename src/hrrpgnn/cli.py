@@ -50,8 +50,6 @@ from .trainkit import (
     train,
 )
 
-_ALL_OPTION_STRINGS: set[str] = set()
-
 # each --preset name and the function that builds its class specs for a cell count
 _PRESETS = {"default3": default_three_class_specs, "toy2": toy_two_class_specs}
 
@@ -59,21 +57,21 @@ _PRESETS = {"default3": default_three_class_specs, "toy2": toy_two_class_specs}
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, with typo suggestions."""
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        _ALL_OPTION_STRINGS.update(action.option_strings)
-        return action
+    def parse_known_args(self, args=None, namespace=None):
+        """Reject unknown arguments here, where the hints can come from this command's options."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            message = f"unrecognized arguments: {' '.join(extras)}"
+            options = sorted(self._option_string_actions)
+            hints = []
+            for token in (t for t in extras if t.startswith("--")):
+                close = difflib.get_close_matches(token, options, n=1)
+                if close:
+                    hints.append(f"{close[0]} instead of {token}")
+            self.error(f"{message}; did you mean {', '.join(hints)}?" if hints else message)
+        return namespace, extras
 
     def error(self, message):
-        if "unrecognized arguments:" in message:
-            bad = [t for t in message.split(":", 1)[1].split() if t.startswith("--")]
-            hints = []
-            for token in bad:
-                close = difflib.get_close_matches(token, sorted(_ALL_OPTION_STRINGS), n=1)
-                if close:
-                    hints.append(f"did you mean {close[0]} instead of {token}?")
-            if hints:
-                message += "\n" + "\n".join(hints)
         raise UsageError(message)
 
 
@@ -141,7 +139,7 @@ def _write_resolved(out_dir: Path, command: str, resolved: dict) -> None:
 
 
 def _model_config(resolved: dict, n_cells: int, n_classes: int) -> ModelConfig:
-    return ModelConfig(n_cells, n_classes, **{key: resolved[key] for key in _MODEL_DEFAULTS})
+    return ModelConfig(n_cells, n_classes, **{k: v for k, v in resolved.items() if k in _MODEL_DEFAULTS})
 
 
 def _train_config(resolved: dict) -> TrainConfig:
@@ -276,6 +274,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "seeds": 5}
+    del defaults["ablation"], defaults["seed"]  # each row sets its own, over seeds 0..seeds-1
     resolved = _merge(defaults, args.config, args)
     n_seeds = resolved["seeds"]
     if n_seeds < 1:

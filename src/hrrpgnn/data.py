@@ -130,7 +130,7 @@ def check_seed(name: str, seed) -> None:
 def synth_generate(
     specs: list[SynthClassSpec], per_class: int, n_cells: int, seed: int
 ) -> Dataset:
-    """Draw ``per_class`` samples for each class spec; deterministic given seed."""
+    """Draw ``per_class`` samples per class spec as rows of one array; deterministic given seed."""
     if not specs:
         raise ConfigError("need at least one class spec")
     if per_class < 1:
@@ -144,8 +144,10 @@ def synth_generate(
     rng = np.random.default_rng(seed)
     try:
         cells = np.arange(n_cells, dtype=np.float64)
+        amps = np.empty((len(specs) * per_class, n_cells))
     except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
-        raise ConfigError(f"n_cells must be small enough to allocate, got {n_cells}: {exc}") from None
+        raise ConfigError(f"per_class and n_cells must be small enough to allocate, "
+                          f"got {per_class} and {n_cells}: {exc}") from None
     samples = []
     for label, spec in enumerate(specs):
         k = len(spec.scatterers)
@@ -162,7 +164,7 @@ def synth_generate(
             )
             signal = ((keep * amplitudes * factors)[:, None] * pulses).sum(axis=0)
             noise = rng.normal(0.0, spec.noise_sigma, n_cells) if spec.noise_sigma > 0 else 0.0
-            samples.append(HrrpSample(np.abs(signal + noise), label))
+            samples.append(HrrpSample(np.abs(signal + noise, out=amps[len(samples)]), label))
 
     manifest = {
         "source": "synthetic",
@@ -179,16 +181,13 @@ def normalize(dataset: Dataset, mode: str = "max_abs") -> Dataset:
     """Per-sample rescaling; all-zero samples pass through untouched."""
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}; use one of {NORMALIZATION_MODES}")
-    out = []
-    for s in dataset.samples:
-        h = s.amplitudes
-        if mode == "max_abs":
-            peak = np.max(h)
-            h = h / peak if peak > 0 else h
-        elif mode == "l2":
-            norm = np.linalg.norm(h)
-            h = h / norm if norm > 0 else h
-        out.append(HrrpSample(h, s.label))
+    amps = dataset.amplitude_matrix()
+    if mode != "none":
+        # each row's own 1-D norm: norm(amps, axis=1) rounds some rows differently
+        scale = (amps.max(axis=1) if mode == "max_abs"
+                 else np.array([np.linalg.norm(h) for h in amps]))[:, None]
+        np.divide(amps, scale, out=amps, where=scale > 0)
+    out = [HrrpSample(h, s.label) for h, s in zip(amps, dataset.samples)]
     manifest = dict(dataset.manifest)
     manifest["normalization"] = mode
     return Dataset(out, dataset.n_cells, dataset.n_classes, list(dataset.class_names), manifest)
@@ -252,7 +251,7 @@ def save_csv(dataset: Dataset, path) -> None:
     header = "label," + ",".join(f"h_{i}" for i in range(dataset.n_cells))
     lines = [header]
     for s in dataset.samples:
-        lines.append(str(s.label) + "," + ",".join(repr(float(v)) for v in s.amplitudes))
+        lines.append(str(s.label) + "," + ",".join(map(repr, s.amplitudes.tolist())))
     write_text(path, "\n".join(lines) + "\n")
     manifest = {
         "n_cells": dataset.n_cells,

@@ -225,7 +225,7 @@ class GraphClassifier:
     def save(self, path) -> None:
         """Write a self-describing JSON checkpoint; round-trips bit-exactly."""
         tensors = {
-            name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in self.state_arrays().items()
         }
         payload = {

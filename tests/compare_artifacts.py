@@ -1,0 +1,106 @@
+"""Byte-compare the CLI's artifacts at a git revision with the working tree's.
+
+Usage: python tests/compare_artifacts.py <rev>
+
+Checks out <rev> with ``git worktree`` into a temporary directory, then runs
+the same commands against that tree's ``src/`` and the working tree's, each
+in its own output directory and with OpenBLAS on one thread:
+
+- gen-data for toy2 and default3 at 128 cells, under every normalization;
+- train for each of the seven ablation rows, with a test split and --val-data;
+- eval --out on the abc row's checkpoint;
+- ablate --seeds 2.
+
+Every command runs with relative paths, so the two trees' files, paths
+included, should match byte for byte. Each command's exit code, stdout and
+stderr is kept as ``logs/<step>.txt`` and compared too. Prints each step
+that exited nonzero and the name of each file that differs or exists on one
+side only, and exits 1 if there is any; the worktree is removed either way.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+NORMALIZATIONS = ("max_abs", "l2", "none")
+ROWS = ("a", "b", "c", "ab", "ac", "bc", "abc")
+TRAIN = ["--epochs", "3", "--batch-size", "16", "--d-out", "4", "--g-out", "4"]
+DATA = "gen/default3-max_abs"
+
+
+def _steps():
+    """(name, hrrpgnn arguments) of every command, in the order they run."""
+    for preset in ("toy2", "default3"):
+        for norm in NORMALIZATIONS:
+            yield f"gen-{preset}-{norm}", [
+                "gen-data", "--preset", preset, "--n-cells", "128", "--per-class", "20",
+                "--test-per-class", "10", "--seed", "3", "--normalization", norm,
+                "--out", f"gen/{preset}-{norm}"]
+    for row in ROWS:
+        yield f"train-{row}", ["train", "--data", DATA, "--val-data", f"{DATA}/test.csv",
+                               "--ablation", row, "--out", f"train/{row}", *TRAIN]
+    yield "eval", ["eval", "--data", f"{DATA}/test.csv", "--checkpoint", "train/abc/model.json",
+                   "--out", "eval-metrics.csv"]
+    yield "ablate", ["ablate", "--data", DATA, "--seeds", "2", "--out", "ablate", *TRAIN]
+
+
+def run_all(tree: Path, out: Path) -> list[str]:
+    """Run every step with ``tree``'s sources, writing under ``out``; the steps that failed."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    (out / "logs").mkdir(parents=True)
+    failed = []
+    for name, args in _steps():
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())",
+             *args], cwd=out, env=env, capture_output=True, text=True)
+        (out / "logs" / f"{name}.txt").write_text(
+            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
+            encoding="utf-8")
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            failed.append(f"{name} (exit {proc.returncode}: {last})")
+    return failed
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], int]:
+    """Relative paths of the files that differ between ``a`` and ``b`` or exist in one only,
+    and the number of files in either."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    differ = files_a ^ files_b | {
+        p for p in files_a & files_b if (a / p).read_bytes() != (b / p).read_bytes()}
+    return sorted(map(str, differ)), len(files_a | files_b)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
+        tmp = Path(tmp)
+        base_tree = tmp / "tree"
+        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                        str(base_tree), argv[0]], check=True)
+        try:
+            failed = [f"{argv[0]}: {step}" for step in run_all(base_tree, tmp / "base")]
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
+                            str(base_tree)], check=True)
+        failed += [f"working tree: {step}" for step in run_all(REPO, tmp / "work")]
+        differ, n_files = compare(tmp / "base", tmp / "work")
+        for step in failed:
+            print(f"failed: {step}")
+        for path in differ:
+            print(f"differs: {path}")
+        print(f"{n_files - len(differ)} of {n_files} files byte-identical to {argv[0]}")
+    return 1 if differ or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hrrpgnn
 from hrrpgnn.cli import main
 from hrrpgnn.errors import (
     ConfigError,
@@ -91,6 +96,23 @@ def test_ablate_produces_seven_rows(gen_dir, tmp_path):
     configs = [ln.split(",")[0] for ln in lines[1:]]
     assert configs == ["a", "b", "c", "ab", "ac", "bc", "abc"]
     assert (out / "ablation_table.txt").exists()
+    resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+    assert "seed" not in resolved and "ablation" not in resolved
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1), ("ablation", "xyz")])
+def test_ablate_config_rejects_the_settings_each_row_sets(key, value, gen_dir, tmp_path, capsys):
+    """Every row runs its own modules over seeds 0..seeds-1, so ablate takes neither key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run("ablate", "--data", str(gen_dir), "--out", str(out), "--config", str(cfg),
+             "--epochs", "1", "--seeds", "1", "--d-out", "2", "--g-out", "2", "--quiet")
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"unknown config keys [{key!r}]" in err
+    assert not out.exists()
 
 
 def test_gradcheck_single_layer(capsys):
@@ -124,7 +146,28 @@ def test_gradcheck_tolerance_must_be_finite_and_positive(tol, capsys):
 def test_usage_error_exit_code_and_suggestion(capsys):
     rc = run("train", "--data", "x.csv", "--out", "y", "--epcohs", "3")
     assert rc == 2
-    assert "--epochs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--epochs" in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+# a typo close to another command's option, and the whole error it must give
+FOREIGN_TYPOS = {
+    "eval-epochs": (["eval", "--data", "d", "--checkpoint", "m", "--epcohs", "3"],
+                    "unrecognized arguments: --epcohs 3"),
+    "gen-data-lr": (["gen-data", "--out", "o", "--lrr", "3"], "unrecognized arguments: --lrr 3"),
+    "train-test-offset": (["train", "--data", "d", "--out", "o", "--test-offse", "1"],
+                          "unrecognized arguments: --test-offse 1; "
+                          "did you mean --test-data instead of --test-offse?"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_TYPOS))
+def test_suggestion_comes_from_the_commands_own_options(case, capsys):
+    argv, message = FOREIGN_TYPOS[case]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_dataset_exit_code(tmp_path):
@@ -540,6 +583,7 @@ BAD_NUMBERS = {
     "ablate-g-out-2**62": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
                             "--g-out", str(2**62)], "model widths"),
     "gen-data-n-cells-2**62": ([*_GEN, "--n-cells", str(2**62)], "n_cells"),
+    "gen-data-per-class-2**60": ([*_GEN, "--per-class", str(2**60)], "per_class and n_cells"),
 }
 
 
@@ -616,3 +660,27 @@ def test_error_classes_carry_the_documented_exit_codes():
              (HrrpGnnError, UsageError, ConfigError, ShapeError, DataFormatError, NumericError)}
     assert codes == {HrrpGnnError: 2, UsageError: 2, ConfigError: 2, ShapeError: 2,
                      DataFormatError: 3, NumericError: 4}
+
+
+def test_gen_data_split_too_large_to_allocate(tmp_path):
+    """A --per-class that the host cannot hold exits 2 at once, before --out exists.
+
+    numpy accepts this shape (256 GB), so the child runs under a 2 GB address-space cap,
+    which makes the allocation of the whole split fail as it would on a full host.
+    """
+    cap = 2 * 1024**3
+    out = tmp_path / "out"
+    src = str(Path(hrrpgnn.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())",
+         "gen-data", "--preset", "toy2", "--n-cells", "16", "--per-class", "1000000000",
+         "--out", str(out)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "per_class and n_cells must be small enough to allocate" in proc.stderr
+    assert not out.exists()

@@ -46,7 +46,7 @@ TARGETS = {
     "train-config": ("train-config.json",
                      ["train", "--data", "{gen}", "--config", "{file}", "--out", "{out}", *_TINY],
                      True),
-    "ablate-config": ("train-config.json",
+    "ablate-config": ("ablate-config.json",
                       ["ablate", "--data", "{gen}", "--config", "{file}", "--out", "{out}",
                        "--seeds", "1", *_TINY], True),
 }
@@ -55,7 +55,7 @@ SEEDS = range(40)
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """A toy2 benchmark at 16 cells, a checkpoint trained on it, and two config files."""
+    """A toy2 benchmark at 16 cells, a checkpoint trained on it, and three config files."""
     root = tmp_path_factory.mktemp("fuzzbase")
     gen, run = root / "gen", root / "run"
     assert main(["gen-data", "--preset", "toy2", "--n-cells", "16", "--per-class", "4",
@@ -67,7 +67,11 @@ def base(tmp_path_factory):
     train_config = {"epochs": 1, "batch_size": 4, "lr": 0.01, "shuffle_seed": 1, "d_out": 2,
                     "g_out": 2, "ablation": "ac", "seed": 1}
     (root / "gen-config.json").write_text(json.dumps(gen_config), encoding="utf-8")
+    # ablate takes train's keys but ablation and seed, which each of its rows sets itself
+    ablate_config = {k: v for k, v in train_config.items() if k not in ("ablation", "seed")}
+    ablate_config["seeds"] = 1
     (root / "train-config.json").write_text(json.dumps(train_config), encoding="utf-8")
+    (root / "ablate-config.json").write_text(json.dumps(ablate_config), encoding="utf-8")
     return root
 
 

@@ -92,6 +92,12 @@ def test_synth_rejects_non_finite_spec_numbers(field, value):
         synth_generate([spec], per_class=1, n_cells=16, seed=0)
 
 
+def test_synth_rejects_a_sample_count_too_large_to_allocate():
+    # numpy refuses a 2**61-row shape before allocating anything, so this is safe on any host
+    with pytest.raises(ConfigError, match="per_class"):
+        synth_generate(two_specs(), per_class=2**60, n_cells=16, seed=0)
+
+
 # ---- normalization ----------------------------------------------------------------
 
 
@@ -115,6 +121,18 @@ def test_normalize_none_and_zero_sample_passthrough():
     for mode in ("max_abs", "l2", "none"):
         out = normalize(ds, mode)
         np.testing.assert_array_equal(out.samples[0].amplitudes, [0.0, 0.0, 0.0])
+
+
+def test_normalize_matches_the_per_row_formulas_bit_for_bit():
+    ds = synth_generate(default_three_class_specs(128), per_class=100, n_cells=128, seed=0)
+    ds = Dataset([*ds.samples, _sample(np.zeros(128), 0)], 128, 3, ds.class_names)
+    formulas = {"max_abs": lambda h: h / h.max(), "l2": lambda h: h / np.linalg.norm(h),
+                "none": lambda h: h}
+    for mode, formula in formulas.items():
+        out = normalize(ds, mode).amplitude_matrix()
+        for row, s in zip(out[:-1], ds.samples):
+            assert np.array_equal(row, formula(s.amplitudes)), mode
+        assert np.array_equal(out[-1], np.zeros(128)), mode
 
 
 def test_normalize_unknown_mode():
