@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import errno
+import os
 import sys
 import warnings
 from dataclasses import MISSING, fields
@@ -255,6 +257,10 @@ def _metrics_csv(metrics) -> str:
 
 
 def cmd_eval(args) -> int:
+    out = None if args.out is None else Path(args.out)
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):  # before any work
+        code = errno.EISDIR if out.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out))
     model = GraphClassifier.load(args.checkpoint)
     dataset = load_csv(args.data)
     check_fits(model.config, (f"--data {args.data}", dataset))

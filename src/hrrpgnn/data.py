@@ -69,7 +69,8 @@ class Dataset:
         """Hold only what save_csv can write and load_csv reads back."""
         if not self.samples:
             raise ConfigError("a dataset needs at least one sample")
-        if len(self.class_names) != self.n_classes:
+        # no names means generic ones, which reports make at the model's class count
+        if self.class_names and len(self.class_names) != self.n_classes:
             raise ConfigError(f"{len(self.class_names)} class names for {self.n_classes} classes")
         for i, s in enumerate(self.samples):
             if s.amplitudes.shape != (self.n_cells,):
@@ -256,7 +257,7 @@ def save_csv(dataset: Dataset, path) -> None:
     manifest = {
         "n_cells": dataset.n_cells,
         "n_classes": dataset.n_classes,
-        "class_names": list(dataset.class_names),
+        **({"class_names": list(dataset.class_names)} if dataset.class_names else {}),
         **dataset.manifest,
     }
     write_json(_manifest_path(path), manifest)
@@ -310,9 +311,9 @@ def load_csv(path) -> Dataset:
             f"{manifest_file}: n_classes must be an integer above the largest label "
             f"{max_label}, got {n_classes!r}"
         )
-    class_names = (manifest["class_names"] if "class_names" in manifest
-                   else [f"class{i}" for i in range(n_classes)])
-    if not (isinstance(class_names, list) and len(class_names) == n_classes
+    class_names = manifest.get("class_names", [])
+    if "class_names" in manifest and not (
+            isinstance(class_names, list) and len(class_names) == n_classes
             and all(isinstance(name, str) for name in class_names)):
         raise DataFormatError(f"{manifest_file}: class_names must be a list of {n_classes} strings")
     extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}

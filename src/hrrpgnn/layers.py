@@ -23,9 +23,10 @@ graph convolution also takes each sample's raw amplitudes and applies the
 range-relative adjacency they define as a factored product, so it is the
 only code that touches the adjacency at run time. It is never followed by
 a separate pooling layer: it reads its own output out, by the mean or
-through an AttentionPool's scores, so its per-node output is never
+through its own attention scores, so its per-node output is never
 formed. AttentionPool and MeanPool run on their own only when there is
-no graph convolution.
+no graph convolution. GraphConv and AttentionPool keep their last
+forward's (batch, N) pooling weights in ``alpha``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class _Layer:
     """What every layer shares: its named tensors and its forward cache."""
 
     PARAMS: tuple = ()
+    # the persistent arrays that are not trained, in checkpoint order
+    BUFFERS: tuple = ()
     _cache = None
 
     def tensors(self, prefix: str):
@@ -141,6 +144,7 @@ class BatchNorm1d(_Layer):
     EPS = 1e-5
     MOMENTUM = 0.1
     PARAMS = ("gamma", "beta")
+    BUFFERS = ("running_mean", "running_var")
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -210,36 +214,39 @@ class GraphConv(_Layer):
     h with the (batch, in_dim, N) nodes.
 
     Its output is the pooled (batch, out_dim) vector p = Y alpha. With
-    ``attention`` set to an AttentionPool, alpha is the softmax of the
-    scores s = w^T Y over the nodes; with ``attention`` None it is the
-    uniform 1/N, the mean. Both pooling and scores are linear in Y, so
+    ``attention``, the layer holds a score vector w (``score``, drawn after
+    W1 and W2) and alpha is the softmax of the scores s = w^T Y over the
+    nodes; without, alpha is the uniform 1/N, the mean. Both pooling and
+    scores are linear in Y, so
 
         s = (W1^T w)^T X + ((W2^T w)^T X) E + B^T w
         p = W1 (X alpha) + W2 (X (E alpha)) + B alpha
 
     and Y itself is never formed. E is applied in factored form,
     v E = ((v * h) R) * h, with the N x N reciprocal-distance matrix R built
-    once per layer, to one row per sample at a time. ``forward`` records
-    alpha as the attention's weights, and ``backward`` fills the attention's
-    ``g_w`` slot along with this layer's own.
+    once per layer, to one row per sample at a time.
     """
 
     PARAMS = ("w1", "w2", "bias")
+    score = None
+    alpha = None
 
-    def __init__(self, in_dim: int, out_dim: int, n_nodes: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, n_nodes: int, rng: np.random.Generator,
+                 attention: bool = False):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.n_nodes = n_nodes
         self.recip = reciprocal_distance(n_nodes)
         self.w1 = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.w2 = uniform_init(rng, (out_dim, in_dim), in_dim)
+        if attention:
+            self.score = uniform_init(rng, out_dim, out_dim)
+            self.g_score = np.zeros_like(self.score)
+            self.PARAMS += ("score",)
         self.bias = np.zeros((out_dim, n_nodes))
         self.g_w1 = np.zeros_like(self.w1)
         self.g_w2 = np.zeros_like(self.w2)
         self.g_bias = np.zeros_like(self.bias)
-        # the AttentionPool (of feature_dim out_dim) whose scores weight the
-        # readout; None reads out the mean
-        self.attention = None
 
     def _times_adjacency(self, v: np.ndarray, h: np.ndarray) -> np.ndarray:
         """v @ E for (batch, N) rows v, row i against sample i's E: ((v * h) @ R) * h.
@@ -265,15 +272,15 @@ class GraphConv(_Layer):
                 f"graphconv: amplitudes have shape {h.shape}, "
                 f"nodes need ({x3.shape[0]}, {self.n_nodes})"
             )
-        if self.attention is None:
+        w = self.score
+        if w is None:
             alpha = np.full(h.shape, 1.0 / self.n_nodes)
         else:
-            w = self.attention.w
             scores = (w @ self.w1) @ x3
             scores += self._times_adjacency((w @ self.w2) @ x3, h)
             scores += w @ self.bias
             alpha = softmax(scores, axis=1)
-            self.attention.alpha = alpha
+        self.alpha = alpha
         e_alpha = self._times_adjacency(alpha, h)
         x_alpha = np.matmul(x3, alpha[:, :, None])[:, :, 0]
         x_e_alpha = np.matmul(x3, e_alpha[:, :, None])[:, :, 0]
@@ -293,8 +300,8 @@ class GraphConv(_Layer):
         self.g_w2[...] = g2.T @ x_e_alpha
         self.g_bias[...] = g2.T @ alpha
         left, right = [w1_g, w2_g], [alpha, e_alpha]
-        if self.attention is not None:
-            w = self.attention.w
+        w = self.score
+        if w is not None:
             u = np.matmul(w1_g[:, None, :], x3)[:, 0, :]  # u = Y^T g = dL/dalpha
             u += self._times_adjacency(np.matmul(w2_g[:, None, :], x3)[:, 0, :], h)
             u += g2 @ self.bias
@@ -307,7 +314,7 @@ class GraphConv(_Layer):
             self.g_w1 += np.outer(w, x_g_s)
             self.g_w2 += np.outer(w, x_e_g_s)
             self.g_bias += np.outer(w, g_s_sum)
-            self.attention.g_w[...] = self.w1 @ x_g_s + self.w2 @ x_e_g_s + self.bias @ g_s_sum
+            self.g_score[...] = self.w1 @ x_g_s + self.w2 @ x_e_g_s + self.bias @ g_s_sum
             shape = w1_g.shape
             left += [np.broadcast_to(w @ self.w1, shape), np.broadcast_to(w @ self.w2, shape)]
             right += [g_s, e_g_s]
@@ -344,13 +351,6 @@ class AttentionPool(_Layer):
         self._cache = (x3, alpha)
         self.alpha = alpha
         return pooled
-
-    def attention_weights(self) -> np.ndarray:
-        """(batch, N) softmax weights from the most recent forward that used these
-        scores: this layer's own, or a GraphConv's that reads out through it."""
-        if self.alpha is None:
-            raise UsageError("attention: forward has not run yet")
-        return self.alpha
 
     def backward(self, grad_out) -> np.ndarray:
         x3, alpha = self._cached()

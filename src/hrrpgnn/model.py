@@ -38,7 +38,7 @@ from .layers import (
 from .numerics import log_softmax, softmax
 
 CHECKPOINT_FORMAT = "hrrpgnn-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 # The seven legal configurations, in the canonical reporting order.
@@ -86,18 +86,20 @@ class GraphClassifier:
 
     Parameters are drawn deterministically from one generator seeded with
     ``config.seed``, layer by layer in a fixed order (conv1, conv2, gconv,
-    att, fc) whatever the row: weights uniform(-sqrt(1/fan_in),
-    +sqrt(1/fan_in)), gconv and fc biases zero, BN gamma 1 / beta 0 with
-    running stats (0, 1). So a tensor starts the same in every row that
-    has it. The model then keeps only the layers in ``chain``, plus att
-    when the graph conv reads out through its scores (module b with c);
-    the attribute of a dropped layer is None. Widths too large to allocate
+    the attention scores, fc) whatever the row: weights
+    uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)), gconv and fc biases zero, BN
+    gamma 1 / beta 0 with running stats (0, 1). So a tensor starts the same
+    in every row that has it. The scores are gconv's own with modules b and
+    c, and att's otherwise. The model holds only the layers in ``chain``;
+    the attribute of a dropped layer is None. Sizes too large to allocate
     are a ConfigError.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
+        flags = config.ablation
+        gconv_scores = "b" in flags and "c" in flags
         try:
             built = {
                 "conv1": Conv1d(1, config.d_out, rng),
@@ -106,29 +108,25 @@ class GraphClassifier:
                 "conv2": Conv1d(config.d_out, config.d_out, rng),
                 "bn2": BatchNorm1d(config.d_out),
                 "act2": LeakyReLU(),
-                "gconv": GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng),
-                "att": AttentionPool(config.head_dim, rng),
+                "gconv": GraphConv(config.gconv_in_dim, config.g_out, config.n_cells, rng,
+                                   attention=gconv_scores),
+                # every row draws one score vector, between gconv's weights and fc's
+                "att": None if gconv_scores else AttentionPool(config.head_dim, rng),
                 "mean_pool": MeanPool(),
                 "fc": Dense(config.head_dim, config.n_classes, rng),
             }
         except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
-            raise ConfigError(f"model widths must be small enough to allocate, got "
-                              f"d_out={config.d_out}, g_out={config.g_out}: {exc}") from None
-        flags = config.ablation
+            raise ConfigError(f"model widths must be small enough to allocate, got d_out="
+                              f"{config.d_out}, g_out={config.g_out}, n_classes={config.n_classes}"
+                              f": {exc}") from None
         readout = "gconv" if "b" in flags else "att" if "c" in flags else "mean_pool"
-        # the (name, layer) pairs that run, in forward order
+        # the (name, layer) pairs that run, in forward order, which is checkpoint order
         self.chain = [(name, built[name]) for name in
                       (["conv1", "bn1", "act1", "conv2", "bn2", "act2"] if "a" in flags else [])
                       + [readout, "fc"]]
-        kept = {name for name, _ in self.chain}
-        if "b" in flags and "c" in flags:
-            # the graph conv pools its own output through att's scores (else by the mean)
-            built["gconv"].attention = built["att"]
-            kept.add("att")
-        # the row's layers in checkpoint order; a dropped layer's attribute is None
-        self._kept = [(name, layer) for name, layer in built.items() if name in kept]
-        for name, layer in built.items():
-            setattr(self, name, layer if name in kept else None)
+        kept = dict(self.chain)
+        for name in built:
+            setattr(self, name, kept.get(name))
         self._logits = None
         self.step_count = 0
 
@@ -136,16 +134,14 @@ class GraphClassifier:
 
     def tensors(self):
         """The row's trainable (name, param, grad) triples, in checkpoint order."""
-        for prefix, layer in self._kept:
+        for prefix, layer in self.chain:
             yield from layer.tensors(prefix)
 
     def state_arrays(self) -> dict:
-        """Every persistent tensor (parameters, plus BN running stats with module a), by name."""
+        """Every persistent tensor by name: the parameters, then each layer's ``BUFFERS``."""
         state = {name: param for name, param, _ in self.tensors()}
-        for prefix, layer in self._kept:
-            if isinstance(layer, BatchNorm1d):
-                state[f"{prefix}.running_mean"] = layer.running_mean
-                state[f"{prefix}.running_var"] = layer.running_var
+        for prefix, layer in self.chain:
+            state.update((f"{prefix}.{name}", getattr(layer, name)) for name in layer.BUFFERS)
         return state
 
     # -- forward / backward ---------------------------------------------
@@ -159,8 +155,7 @@ class GraphClassifier:
         ``_EVAL_BLOCK`` at a time: each row gets what its block alone would
         give. The layer caches then hold only the last block, so
         ``backward`` is refused until the next training-mode call.
-        ``att.attention_weights()`` after an eval pass covers the last block
-        only; with module b on, the graph conv's readout sets them.
+        The readout's ``alpha`` after an eval pass covers the last block only.
         """
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 2:

@@ -9,7 +9,6 @@ bit-identical parameters.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -148,7 +147,6 @@ def train(
             "epoch": 0,
             "train_loss": dataset_loss(model, dataset),
             "train_accuracy": None,
-            "seconds": 0.0,
         }
     )
     log.append(baseline)
@@ -158,7 +156,6 @@ def train(
     optimizer = Adam(model.tensors(), config.learning_rate)
     rng = np.random.default_rng(config.shuffle_seed)
     for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
         total_loss = 0.0
         n_correct = 0
         for step, idx in enumerate(_batches(len(dataset), config.batch_size, rng), start=1):
@@ -176,7 +173,6 @@ def train(
                 "epoch": epoch,
                 "train_loss": total_loss / len(dataset),
                 "train_accuracy": 100.0 * n_correct / len(dataset),
-                "seconds": time.perf_counter() - started,
             }
         )
         log.append(row)

@@ -15,12 +15,14 @@ Every command runs with relative paths, so the two trees' files, paths
 included, should match byte for byte. Each command's exit code, stdout and
 stderr is kept as ``logs/<step>.txt`` and compared too. Prints each step
 that exited nonzero and the name of each file that differs or exists on one
-side only, and exits 1 if there is any; the worktree is removed either way.
+side only, with the first differing line from each side of a differing text
+file, and exits 1 if there is any; the worktree is removed either way.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -78,6 +80,19 @@ def compare(a: Path, b: Path) -> tuple[list[str], int]:
     return sorted(map(str, differ)), len(files_a | files_b)
 
 
+def first_difference(a: Path, b: Path) -> str | None:
+    """The first line that differs between two files, from each side; None unless both
+    exist and are UTF-8 text. A side that has ended shows as None."""
+    try:
+        lines = [p.read_text(encoding="utf-8").splitlines() for p in (a, b)]
+    except (OSError, UnicodeDecodeError):
+        return None
+    for number, (line_a, line_b) in enumerate(itertools.zip_longest(*lines), start=1):
+        if line_a != line_b:
+            return f"line {number}: {line_a!r} vs {line_b!r}"
+    return None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -98,6 +113,9 @@ def main(argv: list[str]) -> int:
             print(f"failed: {step}")
         for path in differ:
             print(f"differs: {path}")
+            shown = first_difference(tmp / "base" / path, tmp / "work" / path)
+            if shown is not None:
+                print(f"  {shown}")
         print(f"{n_files - len(differ)} of {n_files} files byte-identical to {argv[0]}")
     return 1 if differ or failed else 0
 

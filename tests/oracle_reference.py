@@ -113,7 +113,8 @@ def reference_log_probs(state, amps, leaky_slope, bn_eps, ablation="abc"):
         x = graph_conv(x, adjacency(amps), state["gconv.w1"], state["gconv.w2"],
                        state["gconv.bias"])
     if "c" in ablation:
-        pooled = attention_pool(x, state["att.w"])
+        # with module b the score vector is the graph conv's
+        pooled = attention_pool(x, state["gconv.score" if "b" in ablation else "att.w"])
     else:
         pooled = mean_pool(x)
     logits = dense(pooled, state["fc.w"], state["fc.b"])

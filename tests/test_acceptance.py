@@ -32,7 +32,7 @@ from hrrpgnn.data import (
 )
 from hrrpgnn.gradcheck import check_all_ablations, layer_suite, worst_error
 from hrrpgnn.graphgen import build_adjacency
-from hrrpgnn.layers import BatchNorm1d, LeakyReLU
+from hrrpgnn.layers import AttentionPool, BatchNorm1d, LeakyReLU
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.trainkit import TrainConfig, evaluate, run_ablation_suite, train
 
@@ -174,8 +174,11 @@ def test_criterion_4_simplex_invariants(report):
         worst_prob = max(worst_prob, float(np.max(np.abs(np.exp(log_probs).sum(axis=1) - 1.0))))
 
         x = rng.normal(size=(8, config.head_dim, config.n_cells))
-        pooled = model.att.forward(x)
-        alpha = model.att.attention_weights()
+        # the model's score vector, which the graph conv holds in row abc, on its own pooling
+        att = AttentionPool(config.head_dim, np.random.default_rng(seed))
+        att.w[...] = model.gconv.score
+        pooled = att.forward(x)
+        alpha = att.alpha
         worst_alpha = max(worst_alpha, float(np.max(np.abs(alpha.sum(axis=1) - 1.0))))
         hull_ok = hull_ok and bool(
             np.all(pooled >= x.min(axis=2) - EXACT_TOL)

@@ -378,6 +378,8 @@ MALFORMED = {
         _corrupt_checkpoint(lambda p: p.update(version=2)), None, 3, "version 2"),
     "version-3-checkpoint": (
         _corrupt_checkpoint(lambda p: p.update(version=3)), None, 3, "version 3"),
+    "version-4-checkpoint": (
+        _corrupt_checkpoint(lambda p: p.update(version=4)), None, 3, "version 4"),
     # a checkpoint holds exactly its row's tensors, BN running statistics included
     "row-a-with-a-gconv-tensor": (
         _row_a_checkpoint, None, 3, "unknown tensors: ['gconv.w1']"),
@@ -554,7 +556,9 @@ def test_unwritable_output_exit_code(case, gen_dir, run_dir, tmp_path, capsys):
     paths = {"file": tmp_path / "afile", "dir": tmp_path, "gen": gen_dir, "run": run_dir}
     capsys.readouterr()
     rc = run(*(a.format(**paths) for a in argv))
-    _assert_one_line_error(rc, capsys.readouterr().err, 2, named.format(**paths))
+    shown = capsys.readouterr()
+    _assert_one_line_error(rc, shown.err, 2, named.format(**paths))
+    assert shown.out == ""  # refused before any work
 
 
 # a setting outside its domain: (command line, the name the error must give); the run
@@ -662,25 +666,55 @@ def test_error_classes_carry_the_documented_exit_codes():
                      DataFormatError: 3, NumericError: 4}
 
 
+def _run_capped(*argv):
+    """The CLI in a child process under a 2 GB address-space cap and a 60 s timeout."""
+    cap = 2 * 1024**3
+    src = str(Path(hrrpgnn.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())",
+         *argv],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_gen_data_split_too_large_to_allocate(tmp_path):
     """A --per-class that the host cannot hold exits 2 at once, before --out exists.
 
     numpy accepts this shape (256 GB), so the child runs under a 2 GB address-space cap,
     which makes the allocation of the whole split fail as it would on a full host.
     """
-    cap = 2 * 1024**3
     out = tmp_path / "out"
-    src = str(Path(hrrpgnn.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())",
-         "gen-data", "--preset", "toy2", "--n-cells", "16", "--per-class", "1000000000",
-         "--out", str(out)],
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _run_capped("gen-data", "--preset", "toy2", "--n-cells", "16", "--per-class",
+                       "1000000000", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "per_class and n_cells must be small enough to allocate" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unnamed_classes_beyond_any_model_exit_code(command, run_dir, tmp_path):
+    """A manifest that declares 2**70 classes without naming them exits 2 at once.
+
+    No name is made per declared class: eval stops at the class-count check, and train
+    at the model's allocation guard. The child runs under a 2 GB address-space cap, with a
+    timeout, so that code building one name per class fails instead of filling the host.
+    """
+    data = _csv([(0, "0.5"), (1, "0.5")], manifest=json.dumps({"n_classes": 2**70}))(tmp_path)
+    out = tmp_path / "out"
+    # (command line, what the error names)
+    argv, named = {
+        "train": (["train", "--data", str(data), "--out", str(out), *_TINY],
+                  f"model widths must be small enough to allocate, got d_out=2, g_out=2, "
+                  f"n_classes={2**70}"),
+        "eval": (["eval", "--data", str(data), "--checkpoint", str(run_dir / "model.json")],
+                 f"has 16 cells and {2**70} classes, model has 16 cells and 2 classes"),
+    }[command]
+    proc = _run_capped(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert named in proc.stderr
     assert not out.exists()

@@ -21,6 +21,8 @@ from hrrpgnn.data import (
     write_text,
 )
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError
+from hrrpgnn.model import GraphClassifier, ModelConfig
+from hrrpgnn.trainkit import evaluate
 
 
 def two_specs():
@@ -206,7 +208,19 @@ def test_load_csv_without_manifest_uses_generic_names(tmp_path):
     path.write_text("label,h_0,h_1,h_2\n0,1.0,2.0,3.0\n1,3.0,2.0,1.0\n", encoding="utf-8")
     ds = load_csv(path)
     assert ds.n_classes == 2 and ds.n_cells == 3
-    assert len(ds.class_names) == 2
+    # no names are made here: reports name the classes at the model's class count
+    assert ds.class_names == []
+    metrics = evaluate(GraphClassifier(ModelConfig(n_cells=3, n_classes=2)), ds)
+    assert metrics.class_names == ["class0", "class1"]
+
+
+def test_save_csv_writes_no_generic_names(tmp_path):
+    """A dataset without class names round-trips without them."""
+    ds = Dataset([_sample([1.0, 2.0, 3.0], 1)], 3, 2, [])
+    save_csv(ds, tmp_path / "data.csv")
+    manifest = json.loads((tmp_path / "data.manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {"n_cells": 3, "n_classes": 2}
+    assert load_csv(tmp_path / "data.csv").class_names == []
 
 
 def test_load_csv_errors_carry_line_numbers(tmp_path):

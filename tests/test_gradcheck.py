@@ -38,10 +38,10 @@ def test_layer_suite_covers_every_layer_type():
         "conv1d", "batchnorm", "leaky_relu", "graphconv", "graphconv_attention", "attention",
         "mean_pool", "dense",
     }
-    # the graph conv with either readout: its own tensors, the input, and the
-    # attention weights when it reads out through them
+    # the graph conv with either readout: its own tensors, the input, and its own
+    # score vector when it reads out through attention
     assert set(results["graphconv"]) == {"w1", "w2", "bias", "input"}
-    assert set(results["graphconv_attention"]) == {"w1", "w2", "bias", "att.w", "input"}
+    assert set(results["graphconv_attention"]) == {"w1", "w2", "bias", "score", "input"}
     assert worst_error(results) < TOL
 
 
@@ -67,7 +67,8 @@ def test_check_model_is_repeatable():
     assert first == second
 
 
-# the checkpoint names of each module's trained tensors; the head is always on
+# the checkpoint names of each module's trained tensors; the head is always on. With
+# module b, module c's score vector belongs to the graph conv
 MODULE_TENSORS = {
     "a": {"conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta"},
     "b": {"gconv.w1", "gconv.w2", "gconv.bias"},
@@ -81,9 +82,12 @@ def test_check_all_ablations_keys():
     assert set(results) == {"a", "b", "c", "ab", "ac", "bc", "abc"}
     for flags, errs in results.items():
         expected = {"fc.w", "fc.b"}.union(*(MODULE_TENSORS[f] for f in flags))
+        if "b" in flags and "c" in flags:
+            expected = expected - {"att.w"} | {"gconv.score"}
         assert set(errs) == expected, flags
     assert len(results["abc"]) == 12
-    assert set(results["bc"]) == {"gconv.w1", "gconv.w2", "gconv.bias", "att.w", "fc.w", "fc.b"}
+    assert set(results["bc"]) == {"gconv.w1", "gconv.w2", "gconv.bias", "gconv.score", "fc.w",
+                                  "fc.b"}
     assert worst_error(results) < TOL
 
 

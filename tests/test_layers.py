@@ -110,11 +110,12 @@ def test_graphconv_worked_example(rng):
     gc.w2[...] = [[1.0]]
     out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
     np.testing.assert_allclose(out, [[21.0]], atol=1e-12)
-    att = AttentionPool(1, rng)
-    att.w[...] = math.log(3.0) / 27.0
-    gc.attention = att
+    gc = GraphConv(1, 1, 2, rng, attention=True)
+    gc.w1[...] = [[2.0]]
+    gc.w2[...] = [[1.0]]
+    gc.score[...] = math.log(3.0) / 27.0
     out = gc.forward(np.array([[[1.0, 3.0]]]), [[1.0, 3.0]])
-    np.testing.assert_allclose(att.attention_weights(), [[0.25, 0.75]], atol=1e-12)
+    np.testing.assert_allclose(gc.alpha, [[0.25, 0.75]], atol=1e-12)
     np.testing.assert_allclose(out, [[27.75]], atol=1e-12)
 
 
@@ -123,19 +124,19 @@ def _dense_graphconv_pool(gc, x, amps, g):
     (batch, out_dim, N) output: the pooled output, then the gradients for ``g``."""
     dense = np.stack([build_adjacency(a) for a in amps])
     y = gc.w1 @ x + gc.w2 @ (x @ dense) + gc.bias
-    att = gc.attention
-    if att is None:
+    w = gc.score
+    if w is None:
         alpha = np.full(amps.shape, 1.0 / amps.shape[1])
     else:
-        alpha = softmax(att.w @ y, axis=1)
+        alpha = softmax(w @ y, axis=1)
     pooled = (y @ alpha[:, :, None])[:, :, 0]
     grad_y = g[:, :, None] * alpha[:, None, :]
     grads = {}
-    if att is not None:
+    if w is not None:
         u = (g[:, None, :] @ y)[:, 0, :]
         g_s = alpha * (u - (alpha * u).sum(axis=1, keepdims=True))
-        grad_y += att.w[None, :, None] * g_s[:, None, :]
-        grads["att.w"] = (y @ g_s[:, :, None]).sum(axis=0)[:, 0]
+        grad_y += w[None, :, None] * g_s[:, None, :]
+        grads["score"] = (y @ g_s[:, :, None]).sum(axis=0)[:, 0]
     grads["w1"] = (grad_y @ x.transpose(0, 2, 1)).sum(axis=0)
     grads["w2"] = (grad_y @ (x @ dense).transpose(0, 2, 1)).sum(axis=0)
     grads["bias"] = grad_y.sum(axis=0)
@@ -146,18 +147,17 @@ def _dense_graphconv_pool(gc, x, amps, g):
 def test_graphconv_factored_matches_dense(rng):
     """Forward and backward agree with the same layer written on the dense e[i, j] stack
     and the (batch, out_dim, N) output, for either readout."""
-    for attention in (None, AttentionPool(4, rng)):
-        gc = GraphConv(3, 4, 10, rng)
+    for attention in (False, True):
+        gc = GraphConv(3, 4, 10, rng, attention=attention)
         gc.bias[...] = rng.normal(size=gc.bias.shape)
-        gc.attention = attention
         amps = rng.uniform(0.0, 2.0, size=(5, 10))
         x = rng.normal(size=(5, 3, 10))
         g = rng.normal(size=(5, 4))
         expected, expected_grads = _dense_graphconv_pool(gc, x, amps, g)
         np.testing.assert_allclose(gc.forward(x, amps), expected, rtol=1e-12, atol=1e-12)
         got = {"input": gc.backward(g), "w1": gc.g_w1, "w2": gc.g_w2, "bias": gc.g_bias}
-        if attention is not None:
-            got["att.w"] = attention.g_w
+        if attention:
+            got["score"] = gc.g_score
         assert got.keys() == expected_grads.keys()
         for name, value in expected_grads.items():
             np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=1e-12, err_msg=name)
@@ -197,8 +197,7 @@ def test_graphconv_recovers_dense_adjacency(rng):
 
 def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
     """R is built once with the layer; forward and backward reuse it."""
-    gc = GraphConv(2, 3, 6, rng)
-    gc.attention = AttentionPool(3, rng)
+    gc = GraphConv(2, 3, 6, rng, attention=True)
     np.testing.assert_array_equal(gc.recip, hrrpgnn.layers.reciprocal_distance(6))
 
     def rebuilt(n_cells):
@@ -222,9 +221,8 @@ class _CountedRows(np.ndarray):
 def test_graphconv_products_with_r_run_on_one_row_per_sample(rng):
     """Per step, the attention readout multiplies R by 4 rows per sample (2 forward,
     2 backward), the mean readout by 1 (forward only): never by (batch, out_dim, N)."""
-    for attention, forward_rows, backward_rows in ((None, 1, 0), (AttentionPool(4, rng), 2, 2)):
-        gc = GraphConv(3, 4, 7, rng)
-        gc.attention = attention
+    for attention, forward_rows, backward_rows in ((False, 1, 0), (True, 2, 2)):
+        gc = GraphConv(3, 4, 7, rng, attention=attention)
         gc.recip = gc.recip.view(_CountedRows)
         gc.recip.rows = []
         out = gc.forward(rng.normal(size=(5, 3, 7)), rng.uniform(0.5, 1.5, size=(5, 7)), True)
@@ -258,14 +256,14 @@ def test_attention_worked_example(rng):
     att = AttentionPool(1, rng)
     att.w[...] = math.log(3.0)
     out = att.forward(np.array([[[1.0, 3.0]]]))
-    np.testing.assert_allclose(att.attention_weights(), [[0.1, 0.9]], atol=1e-12)
+    np.testing.assert_allclose(att.alpha, [[0.1, 0.9]], atol=1e-12)
     np.testing.assert_allclose(out, [[2.8]], atol=1e-12)
 
 
 def test_attention_weights_sum_to_one(rng):
     att = AttentionPool(4, rng)
     att.forward(rng.normal(size=(6, 4, 13)))
-    alpha = att.attention_weights()
+    alpha = att.alpha
     np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
 
 

@@ -187,13 +187,13 @@ def test_block_sizes_by_mode(rng, monkeypatch):
 
 @pytest.mark.parametrize("flags", ["c", "ac", "bc", "abc"])
 def test_attention_weights_are_the_last_forwards(flags, rng):
-    """att.attention_weights() returns the weights the last forward pooled with,
-    whether att ran on its own or the graph conv read out through its scores."""
+    """The readout's alpha holds the weights the last forward pooled with, whether
+    att ran on its own or the graph conv read out through its own scores."""
     model = GraphClassifier(replace(small_config(), ablation=flags))
     amps = rng.uniform(size=(5, 12))
     for training in (True, False):
         log_probs = model.forward_batch(amps, training=training)
-        alpha = model.att.attention_weights()
+        alpha = (model.gconv if "b" in flags else model.att).alpha
         assert alpha.shape == (5, 12)
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(5), atol=1e-12)
         if "b" in flags:
@@ -203,7 +203,7 @@ def test_attention_weights_are_the_last_forwards(flags, rng):
                 x = layer.forward(x, training)
             gc = model.gconv
             y = gc.w1 @ x + gc.w2 @ (x @ np.stack([build_adjacency(a) for a in amps])) + gc.bias
-            np.testing.assert_allclose(alpha, softmax(model.att.w @ y, axis=1), atol=1e-12)
+            np.testing.assert_allclose(alpha, softmax(gc.score @ y, axis=1), atol=1e-12)
             pooled = (y @ alpha[:, :, None])[:, :, 0]
             np.testing.assert_allclose(log_probs, log_softmax(model.fc.forward(pooled), axis=1),
                                        atol=1e-12)
@@ -237,8 +237,9 @@ def test_init_convention():
 def test_init_draw_order():
     """Weights are uniform_init draws from one default_rng(seed), in a fixed order.
 
-    The order is conv1, conv2, gconv (w1 then w2), att, fc for every ablation,
-    whether or not the row keeps the layer; everything else starts at its constant.
+    The order is conv1, conv2, gconv (w1 then w2), the score vector, fc for every
+    ablation, whether or not the row keeps the layer; everything else starts at its
+    constant. The score vector is gconv's in rows bc and abc, and att's otherwise.
     """
     for flags in ABLATION_ORDER:
         for seed in (0, 7):
@@ -250,7 +251,8 @@ def test_init_draw_order():
                 "conv2.kernels": uniform_init(rng, (d, d, 3), 3 * d),
                 "gconv.w1": uniform_init(rng, (cfg.g_out, g_in), g_in),
                 "gconv.w2": uniform_init(rng, (cfg.g_out, g_in), g_in),
-                "att.w": uniform_init(rng, (head,), head),
+                "gconv.score" if "b" in flags and "c" in flags else "att.w":
+                    uniform_init(rng, (head,), head),
                 "fc.w": uniform_init(rng, (cfg.n_classes, head), head),
             }
             for name, arr in GraphClassifier(cfg).state_arrays().items():
@@ -362,14 +364,14 @@ def test_disabled_layers_are_absent(rng):
     model = GraphClassifier(replace(small_config(), ablation="bc"))
     for name in ("conv1", "bn1", "act1", "conv2", "bn2", "act2", "mean_pool"):
         assert getattr(model, name) is None, name
-    assert model.gconv.attention is model.att
+    assert model.att is None  # the graph conv holds the score vector
     assert not [name for name in model.state_arrays() if name.startswith(("conv", "bn"))]
     model.forward_batch(rng.uniform(size=(4, 12)), training=True)
     model.backward(np.array([0, 1, 2, 0]))
     grads = {name: g for name, _, g in model.tensors()}
-    assert sorted(grads) == ["att.w", "fc.b", "fc.w", "gconv.bias", "gconv.w1", "gconv.w2"]
+    assert sorted(grads) == ["fc.b", "fc.w", "gconv.bias", "gconv.score", "gconv.w1", "gconv.w2"]
     assert np.any(grads["gconv.w1"] != 0.0)
-    assert np.any(grads["att.w"] != 0.0)
+    assert np.any(grads["gconv.score"] != 0.0)
 
 
 def test_every_chain_tensor_gets_a_gradient():

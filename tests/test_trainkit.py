@@ -87,15 +87,16 @@ def test_adam_descends_quadratic():
 _CONV = ["conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta"]
 _GCONV = ["gconv.w1", "gconv.w2", "gconv.bias"]
 _FC = ["fc.w", "fc.b"]
-# each row's tensors in checkpoint order: a 8, b 5, c 3, ab 11, ac 9, bc 6, abc 12
+# each row's tensors in checkpoint order: a 8, b 5, c 3, ab 11, ac 9, bc 6, abc 12; with
+# module b, the score vector is the graph conv's
 ROW_TENSORS = {
     "a": _CONV + _FC,
     "b": _GCONV + _FC,
     "c": ["att.w"] + _FC,
     "ab": _CONV + _GCONV + _FC,
     "ac": _CONV + ["att.w"] + _FC,
-    "bc": _GCONV + ["att.w"] + _FC,
-    "abc": _CONV + _GCONV + ["att.w"] + _FC,
+    "bc": _GCONV + ["gconv.score"] + _FC,
+    "abc": _CONV + _GCONV + ["gconv.score"] + _FC,
 }
 
 
@@ -126,6 +127,10 @@ def test_epoch_zero_row_is_untrained_baseline(toy_benchmark):
     # fresh 2-class model should sit near the ln 2 chance loss
     assert abs(log[0]["train_loss"] - math.log(2)) / math.log(2) < 0.25
     assert [row["epoch"] for row in log] == [0, 1, 2]
+    # the rows carry no wall time: every value is deterministic
+    for row in log:
+        assert list(row) == ["epoch", "train_loss", "train_accuracy", "val_accuracy",
+                             "val_macro_f1"]
 
 
 def test_training_reduces_loss(toy_benchmark):
