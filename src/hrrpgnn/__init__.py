@@ -9,6 +9,7 @@ are plain float64 ndarrays with hand-written backward passes.
 
 from .data import (
     Dataset,
+    HrrpSample,
     ScattererSpec,
     SynthClassSpec,
     default_three_class_specs,
@@ -37,7 +38,6 @@ from .gradcheck import (
     layer_suite,
     worst_error,
 )
-from .graphgen import HrrpSample, build_adjacency
 from .layers import (
     AttentionPool,
     BatchNorm1d,
@@ -88,7 +88,6 @@ __all__ = [
     "TrainConfig",
     "UsageError",
     "ablation_table",
-    "build_adjacency",
     "check_all_ablations",
     "check_layer",
     "check_model",

@@ -285,7 +285,10 @@ def cmd_ablate(args) -> int:
     n_seeds = resolved["seeds"]
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
-    seeds = list(range(n_seeds))
+    try:
+        seeds = list(range(n_seeds))
+    except (OverflowError, MemoryError):  # a list length Python refuses before allocating
+        raise UsageError(f"--seeds must be small enough to list, got {n_seeds}") from None
 
     data_dir = Path(args.data)
     if not data_dir.is_dir():

@@ -1,4 +1,4 @@
-"""Synthetic range-profile generation, dataset I/O, normalization.
+"""Range-profile samples and datasets: synthetic generation, I/O, normalization.
 
 Real HRRP collections come from electromagnetic solvers or measured
 flights; neither is reproducible here. The stand-in is a point-scatterer
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, ShapeError
-from .graphgen import HrrpSample
 
 NORMALIZATION_MODES = ("max_abs", "l2", "none")
 
@@ -55,6 +54,25 @@ class SynthClassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
+
+
+@dataclass(frozen=True)
+class HrrpSample:
+    """One range profile: N nonnegative cell amplitudes and a class label."""
+
+    amplitudes: np.ndarray
+    label: int
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        if amps.ndim != 1:
+            raise ShapeError(f"amplitudes must be 1-D, got ndim={amps.ndim}")
+        # one pass on the hot path (false on NaN too); -0.0 passes
+        if not ((amps >= 0.0) & (amps < np.inf)).all():
+            if not np.isfinite(amps).all():
+                raise ConfigError("amplitudes must be finite")
+            raise ConfigError(f"amplitudes must be nonnegative, got {amps.min()}")
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass
@@ -264,17 +282,19 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset CSV; errors carry the 1-based line number."""
+    """Parse a dataset CSV; errors carry the file's 1-based line number, blank lines counted."""
     path = Path(path)
-    lines = [ln for ln in read_text(path, "dataset").split("\n") if ln != ""]
+    lines = [(n, ln) for n, ln in enumerate(read_text(path, "dataset").split("\n"), start=1) if ln]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    (header_no, header_line), *rows = lines
+    header = header_line.split(",")
     if header[0] != "label" or len(header) < 2:
-        raise DataFormatError(f"{path}: line 1: header must be 'label,h_0,...', got {lines[0][:60]!r}")
+        raise DataFormatError(f"{path}: line {header_no}: header must be 'label,h_0,...', "
+                              f"got {header_line[:60]!r}")
     n_cells = len(header) - 1
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         fields = line.split(",")
         if len(fields) != n_cells + 1:
             raise DataFormatError(
@@ -485,12 +505,14 @@ def make_benchmark(
     never re-draws of training samples.
     """
     train = synth_generate(specs, per_class, n_cells, seed)
-    test = synth_generate(
-        perturb_specs(specs, test_position_offset),
-        test_per_class if test_per_class is not None else per_class,
-        n_cells,
-        seed + 10_000,
-    )
+    test_per_class = per_class if test_per_class is None else test_per_class
+    try:
+        test = synth_generate(perturb_specs(specs, test_position_offset), test_per_class,
+                              n_cells, seed + 10_000)
+    except ConfigError as exc:  # the train split passed, so the test count or shift is at fault
+        if str(exc).startswith("per_class"):
+            raise ConfigError(f"test split: test_{exc}") from None
+        raise ConfigError(f"test split, scatterers shifted {test_position_offset} cells: {exc}") from None
     train = normalize(train, normalization)
     test = normalize(test, normalization)
     train.manifest["role"] = "train"

@@ -24,8 +24,9 @@ from .layers import (
 )
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
-# central-difference step for every check
+# central-difference step and probe batch size for every check
 STEP = 1e-4
+BATCH_SIZE = 3
 
 
 def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
@@ -87,7 +88,7 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
 def layer_suite(seed: int = 0) -> dict:
     """Run every layer type once on small random shapes."""
     rng = np.random.default_rng(seed)
-    batch, n = 3, 9
+    batch, n = BATCH_SIZE, 9
     results = {}
 
     conv = Conv1d(2, 4, rng)
@@ -134,7 +135,7 @@ def _rectifier_margin(model: GraphClassifier, amps: np.ndarray) -> float:
     return float(min(margins))
 
 
-def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict:
+def check_model(config: ModelConfig, seed: int = 0) -> dict:
     """Check d(loss)/d(theta) for every parameter of the assembled model.
 
     Runs in training mode (batch statistics active) with the actual NLL
@@ -143,9 +144,9 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
     """
     model = GraphClassifier(config)
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, config.n_classes, batch_size)
+    labels = rng.integers(0, config.n_classes, BATCH_SIZE)
 
-    amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
+    amps = rng.uniform(0.1, 1.0, (BATCH_SIZE, config.n_cells))
     if "a" in config.ablation:
         # central differences average the two slopes at the rectifier kink,
         # so the probe input must keep every pre-activation clear of 0 by
@@ -154,7 +155,7 @@ def check_model(config: ModelConfig, batch_size: int = 3, seed: int = 0) -> dict
         for _ in range(50):
             if best_margin > 100.0 * STEP:
                 break
-            amps = rng.uniform(0.1, 1.0, (batch_size, config.n_cells))
+            amps = rng.uniform(0.1, 1.0, (BATCH_SIZE, config.n_cells))
             margin = _rectifier_margin(model, amps)
             if margin > best_margin:
                 best, best_margin = amps, margin
@@ -175,7 +176,6 @@ def check_all_ablations(
     n_classes: int = 3,
     d_out: int = 6,
     g_out: int = 8,
-    batch_size: int = 3,
     seed: int = 0,
 ) -> dict:
     """Whole-model check for each of the seven module subsets.
@@ -186,7 +186,7 @@ def check_all_ablations(
     results = {}
     for flags in ABLATION_ORDER:
         config = ModelConfig(n_cells, n_classes, d_out, g_out, ablation=flags, seed=seed)
-        results[flags] = check_model(config, batch_size, seed)
+        results[flags] = check_model(config, seed)
     return results
 
 

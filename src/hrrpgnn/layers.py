@@ -209,7 +209,7 @@ class GraphConv(_Layer):
     The convolution is Y = W1 X + W2 (X E) + B: column i of Y is
     W1 x_i + W2 (sum_j e[j, i] x_j) + B[:, i], where E is each sample's
     symmetric range-relative edge matrix e[i, j] = h[i] h[j] / (|i - j| + 1)
-    (``graphgen.build_adjacency``) and the bias B is per node. The layer is
+    (defined in ``graphgen``) and the bias B is per node. The layer is
     built for a fixed node count N and takes the raw (batch, N) amplitudes
     h with the (batch, in_dim, N) nodes.
 

@@ -16,8 +16,9 @@ included, should match byte for byte. Each command's exit code, stdout and
 stderr is kept as ``logs/<step>.txt`` and compared too. Prints each step
 that exited nonzero and the name of each file that differs or exists on one
 side only, with the first differing line from each side of a differing text
-file, and exits 1 if there is any; the worktree is removed either way.
-pytest does not collect this file.
+file, and exits 1 if there is any; the worktree is removed either way. Also
+prints ``wc -l``-style line counts of each ``src/hrrpgnn/*.py`` module, and
+their total, in both trees. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -70,6 +71,19 @@ def run_all(tree: Path, out: Path) -> list[str]:
     return failed
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """Newline count of each ``src/hrrpgnn/*.py`` module of ``tree``, by file name, as ``wc -l``."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (tree / "src" / "hrrpgnn").glob("*.py")}
+
+
+def print_line_counts(rev: str, base: dict[str, int], work: dict[str, int]) -> None:
+    """One row per module in either tree, then the totals; a module missing from a tree shows -."""
+    print(f"{'src/hrrpgnn lines':<20} {rev:>12} {'working tree':>12}")
+    for name in sorted(base.keys() | work.keys()):
+        print(f"  {name:<18} {base.get(name, '-'):>12} {work.get(name, '-'):>12}")
+    print(f"  {'total':<18} {sum(base.values()):>12} {sum(work.values()):>12}")
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], int]:
     """Relative paths of the files that differ between ``a`` and ``b`` or exist in one only,
     and the number of files in either."""
@@ -103,6 +117,7 @@ def main(argv: list[str]) -> int:
         subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
                         str(base_tree), argv[0]], check=True)
         try:
+            base_lines = line_counts(base_tree)
             failed = [f"{argv[0]}: {step}" for step in run_all(base_tree, tmp / "base")]
         finally:
             subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
@@ -117,6 +132,7 @@ def main(argv: list[str]) -> int:
             if shown is not None:
                 print(f"  {shown}")
         print(f"{n_files - len(differ)} of {n_files} files byte-identical to {argv[0]}")
+        print_line_counts(argv[0], base_lines, line_counts(REPO))
     return 1 if differ or failed else 0
 
 

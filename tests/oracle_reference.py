@@ -1,14 +1,24 @@
 """Straight-line re-implementation of the network forward pass.
 
-Pure Python scalar loops, no numpy. This exists only as a test oracle:
-it recomputes the whole pipeline from its definition (width-3 padded
-cross-correlation, eval-mode batchnorm, leaky rectifier, amplitude-graph
-convolution, softmax attention or mean pooling, dense head, log-softmax)
-so the vectorized implementation can be checked value-for-value against
-an independent transcription. Parameters arrive as nested Python lists.
+Pure Python scalar loops, no numpy, except ``build_adjacency``. This
+exists only as a test oracle: it recomputes the whole pipeline from its
+definition (width-3 padded cross-correlation, eval-mode batchnorm, leaky
+rectifier, amplitude-graph convolution, softmax attention or mean
+pooling, dense head, log-softmax) so the vectorized implementation can be
+checked value-for-value against an independent transcription. Parameters
+arrive as nested Python lists.
+
+``build_adjacency`` is the dense edge-weight matrix in numpy: the outer
+product h h^T times ``graphgen.reciprocal_distance``. Tests hold the
+layers to it at tolerances down to 1e-15, set for this rounding, which
+the scalar ``adjacency`` does not share.
 """
 
 import math
+
+import numpy as np
+
+from hrrpgnn.graphgen import reciprocal_distance
 
 
 def conv1d(x, kernels):
@@ -44,6 +54,12 @@ def leaky_relu(x, slope):
 def adjacency(amps):
     n = len(amps)
     return [[amps[i] * amps[j] / (abs(i - j) + 1.0) for j in range(n)] for i in range(n)]
+
+
+def build_adjacency(amplitudes):
+    """Edge-weight matrix e[i, j] = h[i] h[j] / (|i - j| + 1) of a 1-D amplitude vector."""
+    h = np.asarray(amplitudes, dtype=np.float64)
+    return np.outer(h, h) * reciprocal_distance(h.shape[0])
 
 
 def graph_conv(x, adj, w1, w2, bias):

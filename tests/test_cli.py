@@ -588,6 +588,14 @@ BAD_NUMBERS = {
                             "--g-out", str(2**62)], "model widths"),
     "gen-data-n-cells-2**62": ([*_GEN, "--n-cells", str(2**62)], "n_cells"),
     "gen-data-per-class-2**60": ([*_GEN, "--per-class", str(2**60)], "per_class and n_cells"),
+    "gen-data-test-per-class-0": ([*_GEN, "--test-per-class", "0"], "test split: test_per_class"),
+    "gen-data-test-per-class-2**64": ([*_GEN, "--test-per-class", str(2**64)],
+                                      "test split: test_per_class and n_cells"),
+    # Python refuses both counts as a list length before allocating anything
+    "ablate-seeds-2**64": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--seeds", str(2**64)], "--seeds"),
+    "ablate-seeds-2**62": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--seeds", str(2**62)], "--seeds"),
 }
 
 
@@ -602,6 +610,17 @@ def test_bad_seed_or_learning_rate_exit_code(case, gen_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert f"{name} must be" in err
+    assert not out.exists(), sorted(out.iterdir())
+
+
+def test_gen_data_test_offset_off_the_grid_names_the_test_split(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run(*(a.format(out=out) for a in _GEN), "--test-offset", "1000")
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "test split, scatterers shifted 1000.0 cells: " in err
     assert not out.exists(), sorted(out.iterdir())
 
 

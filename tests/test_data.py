@@ -5,6 +5,7 @@ import pytest
 
 from hrrpgnn.data import (
     Dataset,
+    HrrpSample,
     ScattererSpec,
     SynthClassSpec,
     default_three_class_specs,
@@ -144,9 +145,15 @@ def test_normalize_unknown_mode():
 
 
 def _sample(values, label):
-    from hrrpgnn.graphgen import HrrpSample
-
     return HrrpSample(np.array(values, dtype=np.float64), label)
+
+
+def test_sample_validation():
+    with pytest.raises(ShapeError):
+        HrrpSample(np.zeros((2, 2)), label=0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        HrrpSample(np.array([0.5, -0.5]), label=0)
+    HrrpSample(np.array([0.5, -0.0]), label=0)  # negative zero is still zero
 
 
 # ---- dataset invariants ------------------------------------------------------------
@@ -237,6 +244,10 @@ def test_load_csv_errors_carry_line_numbers(tmp_path):
             load_csv(path)
     path.write_text("label,h_0,h_1\n0,1.0,2.0\n1,-0.5,2.0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 3: amplitudes must be nonnegative"):
+        load_csv(path)
+    # a blank line is skipped but still counted: the bad row is the file's fourth line
+    path.write_text("label,h_0,h_1\n0,1.0,2.0\n\n1,0.5,-1.0\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 4: amplitudes must be nonnegative"):
         load_csv(path)
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(DataFormatError):

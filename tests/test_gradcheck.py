@@ -47,14 +47,14 @@ def test_layer_suite_covers_every_layer_type():
 
 def test_check_model_full_config():
     cfg = ModelConfig(n_cells=8, n_classes=3, d_out=3, g_out=4, seed=0)
-    errs = check_model(cfg, batch_size=3, seed=0)
+    errs = check_model(cfg, seed=0)
     assert worst_error(errs) < TOL
     assert any(name.startswith("gconv.") for name in errs)
 
 
 def test_check_model_skips_disabled_modules():
     cfg = replace(ModelConfig(n_cells=8, n_classes=3, d_out=3, g_out=4, seed=0), ablation="c")
-    errs = check_model(cfg, batch_size=3, seed=0)
+    errs = check_model(cfg, seed=0)
     assert not any(name.startswith(("conv1.", "gconv.")) for name in errs)
     assert worst_error(errs) < TOL
 
@@ -62,8 +62,8 @@ def test_check_model_skips_disabled_modules():
 def test_check_model_is_repeatable():
     # each call builds a fresh model from the config's seed, so reruns are identical
     cfg = ModelConfig(n_cells=8, n_classes=2, d_out=2, g_out=3, seed=0)
-    first = check_model(cfg, batch_size=3, seed=0)
-    second = check_model(cfg, batch_size=3, seed=0)
+    first = check_model(cfg, seed=0)
+    second = check_model(cfg, seed=0)
     assert first == second
 
 

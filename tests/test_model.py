@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from hrrpgnn.errors import ConfigError, DataFormatError, ShapeError, UsageError
-from hrrpgnn.graphgen import build_adjacency
 from hrrpgnn.layers import BatchNorm1d, LeakyReLU, uniform_init
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.numerics import log_softmax, softmax
+from oracle_reference import build_adjacency
 
 
 def small_config(**kw):
