@@ -17,6 +17,7 @@ import argparse
 import difflib
 import errno
 import os
+import re
 import sys
 import warnings
 from dataclasses import MISSING, fields
@@ -58,6 +59,11 @@ _PRESETS = {"default3": default_three_class_specs, "toy2": toy_two_class_specs}
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, with typo suggestions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it took "-1e-3" for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def parse_known_args(self, args=None, namespace=None):
         """Reject unknown arguments here, where the hints can come from this command's options."""

@@ -189,7 +189,6 @@ def synth_generate(
         "source": "synthetic",
         "seed": seed,
         "per_class": per_class,
-        "n_cells": n_cells,
         "normalization": "none",
         "classes": [class_spec_to_dict(s) for s in specs],
     }

@@ -138,7 +138,9 @@ class BatchNorm1d(_Layer):
     Eval mode standardizes with the running statistics alone. Population
     (biased) variance is used both for normalization and for the running
     update so the backward pass differentiates exactly the forward
-    expression; backward needs a training-mode forward.
+    expression; backward needs a training-mode forward. The statistics run
+    over batch x positions, so training mode needs at least 2 values per
+    channel there, and a batch of one profile is enough.
     """
 
     EPS = 1e-5
@@ -162,11 +164,9 @@ class BatchNorm1d(_Layer):
                 f"batchnorm: input has {x3.shape[1]} channels, layer expects {self.channels}"
             )
         if training:
-            if x3.shape[0] < 2:
-                raise ConfigError(
-                    "batchnorm training mode needs a batch of at least 2 samples "
-                    f"(got {x3.shape[0]}); per-channel batch variance is undefined otherwise"
-                )
+            if x3.shape[0] * x3.shape[2] < 2:
+                raise ConfigError("batchnorm training mode needs at least 2 values per channel "
+                                  f"over batch x cells, got {x3.shape[0]} x {x3.shape[2]}")
             mean = x3.mean(axis=(0, 2))
             xhat = x3 - mean[None, :, None]
             # ndarray.var's own expression, so the square's buffer can hold the output

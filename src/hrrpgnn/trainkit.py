@@ -38,9 +38,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            # batch statistics degenerate on a single sample
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:  # NaN fails both comparisons
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         check_seed("shuffle_seed", self.shuffle_seed)
@@ -77,13 +76,9 @@ class Adam:
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled index batches; a trailing singleton folds into its neighbor."""
+    """Consecutive ``batch_size`` slices of one shuffled order; the last holds what is left."""
     order = rng.permutation(n)
-    batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-    if len(batches) > 1 and len(batches[-1]) == 1:
-        batches[-2] = np.concatenate([batches[-2], batches[-1]])
-        batches.pop()
-    return batches
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def check_fits(config: ModelConfig, *named: tuple[str, Dataset | None]) -> None:
@@ -126,12 +121,12 @@ def train(
     carry the sample-weighted mean training loss and the training-mode
     accuracy of that epoch's forward passes; when a validation set is
     given, each row also carries eval-mode ``val_accuracy``/``val_macro_f1``.
+    Each epoch steps once per ``config.batch_size`` samples of a new
+    shuffle, and the last step takes what is left, which may be one sample.
 
     ``epoch_callback`` receives each row as it is logged; returning a
     truthy value stops training after that epoch.
     """
-    if len(dataset) < 2:
-        raise ConfigError(f"training needs at least 2 samples, got {len(dataset)}")
     check_fits(model.config, ("training set", dataset), ("validation set", val_dataset))
     amps, labels = dataset.amplitude_matrix(), dataset.labels()
 

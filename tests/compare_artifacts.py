@@ -8,6 +8,8 @@ in its own output directory and with OpenBLAS on one thread:
 
 - gen-data for toy2 and default3 at 128 cells, under every normalization;
 - train for each of the seven ablation rows, with a test split and --val-data;
+- train with --batch-size 59 on the 60 default3 training samples, so that each
+  epoch's last batch holds one sample;
 - eval --out on the abc row's checkpoint;
 - ablate --seeds 2.
 
@@ -48,6 +50,8 @@ def _steps():
     for row in ROWS:
         yield f"train-{row}", ["train", "--data", DATA, "--val-data", f"{DATA}/test.csv",
                                "--ablation", row, "--out", f"train/{row}", *TRAIN]
+    yield "train-last-batch-of-one", ["train", "--data", DATA, "--out", "train/last-batch-of-one",
+                                      *TRAIN, "--batch-size", "59"]
     yield "eval", ["eval", "--data", f"{DATA}/test.csv", "--checkpoint", "train/abc/model.json",
                    "--out", "eval-metrics.csv"]
     yield "ablate", ["ablate", "--data", DATA, "--seeds", "2", "--out", "ablate", *TRAIN]

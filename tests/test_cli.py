@@ -575,6 +575,11 @@ BAD_NUMBERS = {
                      "learning_rate"),
     "train-ablation": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--ablation", "xy"],
                        "ablation"),
+    # a negative number with an exponent reaches its option as a value
+    "train-lr-negative-exponent": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                                    "--lr", "-1e-3"], "learning_rate"),
+    "train-batch-size-0": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                            "--batch-size", "0"], "batch_size"),
     "ablate-seeds": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY, "--seeds", "0"],
                      "--seeds"),
     # numpy refuses 2**62 before allocating anything; never try a width it would allocate
@@ -622,6 +627,24 @@ def test_gen_data_test_offset_off_the_grid_names_the_test_split(tmp_path, capsys
     assert len(err.strip().splitlines()) == 1, err
     assert "test split, scatterers shifted 1000.0 cells: " in err
     assert not out.exists(), sorted(out.iterdir())
+
+
+@pytest.mark.parametrize("offset, value", [("-1e-1", -0.1), ("-2E+0", -2.0), ("-0.5", -0.5)])
+def test_negative_number_with_an_exponent_is_a_value(offset, value, tmp_path):
+    out = tmp_path / "out"
+    rc = run(*(a.format(out=out) for a in _GEN), "--test-offset", offset)
+    assert rc == 0
+    resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+    assert resolved["test_offset"] == value
+
+
+def test_train_batch_size_one(gen_dir, tmp_path):
+    """A batch of one sample trains: BatchNorm takes its statistics over the cells too."""
+    out = tmp_path / "out"
+    assert run("train", "--data", str(gen_dir), "--out", str(out), *_TINY,
+               "--batch-size", "1") == 0
+    assert json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))["batch_size"] == 1
+    assert len((out / "epoch_log.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 # a class-spec number outside its domain: (the field, its value); the spec file carries

@@ -210,6 +210,16 @@ def test_csv_manifest_sidecar(tmp_path):
     assert back.class_names == ["low", "high"]
 
 
+def test_saved_benchmark_reloads_with_an_equal_manifest(tmp_path):
+    """The cell count lives in ``Dataset.n_cells`` alone, so a generated split and the same
+    split saved and reloaded carry the same manifest."""
+    for ds in make_benchmark(two_specs(), per_class=2, n_cells=12, seed=0):
+        save_csv(ds, tmp_path / "data.csv")
+        back = load_csv(tmp_path / "data.csv")
+        assert back.manifest == ds.manifest
+        assert back.n_cells == ds.n_cells == 12
+
+
 def test_load_csv_without_manifest_uses_generic_names(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("label,h_0,h_1,h_2\n0,1.0,2.0,3.0\n1,3.0,2.0,1.0\n", encoding="utf-8")

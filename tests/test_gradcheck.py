@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from oracle_reference import conv1d as oracle_conv1d
 
-from hrrpgnn.gradcheck import check_all_ablations, check_layer, check_model, layer_suite, worst_error
+import hrrpgnn.gradcheck
+from hrrpgnn.gradcheck import (
+    STEP,
+    check_all_ablations,
+    check_layer,
+    check_model,
+    layer_suite,
+    worst_error,
+)
 from hrrpgnn.layers import Conv1d, Dense
 from hrrpgnn.model import ModelConfig
 
@@ -94,3 +102,33 @@ def test_check_all_ablations_keys():
 def test_worst_error_nested():
     assert worst_error({"a": {"x": 0.1, "y": 0.3}, "b": {"z": 0.2}}) == 0.3
     assert worst_error({}) == 0.0
+
+
+def fourth_order_diff_check(f, theta, analytic_grad):
+    """``finite_diff_check`` with the fourth-order central quotient at the same ``STEP``:
+    (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h, whose error is O(h^4) instead of O(h^2)."""
+    analytic = np.asarray(analytic_grad, dtype=np.float64)
+    assert analytic.shape == theta.shape
+    worst = 0.0
+    for idx in np.ndindex(theta.shape):
+        original = theta[idx]
+        values = []
+        for k in (-2, -1, 1, 2):
+            theta[idx] = original + k * STEP
+            values.append(float(f()))
+        theta[idx] = original
+        numeric = (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * STEP)
+        a = float(analytic[idx])
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backward_matches_a_fourth_order_difference(seed, monkeypatch):
+    """Every layer and every ablation row agrees with a fourth-order central difference to
+    1e-9 relative, which catches a backward error that ``TOL`` lets through (a BatchNorm
+    backward scaled by 1 + 1e-6 reads 1e-6 here). The stencil stays at ``STEP``: at a
+    larger step its +-2h probes cross the rectifier kink in rows with module a."""
+    monkeypatch.setattr(hrrpgnn.gradcheck, "finite_diff_check", fourth_order_diff_check)
+    assert worst_error(layer_suite(seed)) < 1e-9
+    assert worst_error(check_all_ablations(seed=seed)) < 1e-9

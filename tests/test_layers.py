@@ -5,7 +5,7 @@ import pytest
 
 import hrrpgnn.layers
 from hrrpgnn.errors import ConfigError, ShapeError, UsageError
-from hrrpgnn.gradcheck import finite_diff_check
+from hrrpgnn.gradcheck import check_layer, finite_diff_check
 from hrrpgnn.layers import (
     AttentionPool,
     BatchNorm1d,
@@ -97,9 +97,27 @@ def test_batchnorm_backward_needs_training_forward():
 
 
 def test_batchnorm_training_rejects_single_sample():
-    bn = BatchNorm1d(1)
-    with pytest.raises(ConfigError):
-        bn.forward(np.array([[[1.0, 2.0]]]), training=True)
+    """One sample of one cell leaves a single value per channel, and no batch variance."""
+    bn = BatchNorm1d(3)
+    with pytest.raises(ConfigError, match="at least 2 values per channel"):
+        bn.forward(np.ones((1, 3, 1)), training=True)
+
+
+def test_batchnorm_single_sample_standardizes_over_its_cells(rng):
+    """A batch of one profile is legal: each channel is standardized over its N cells."""
+    x = rng.normal(3.0, 2.0, size=(1, 4, 9))
+    bn = BatchNorm1d(4)
+    out = bn.forward(x, training=True)
+    mean = x.mean(axis=2, keepdims=True)
+    var = x.var(axis=2, keepdims=True)
+    np.testing.assert_allclose(out, (x - mean) / np.sqrt(var + BatchNorm1d.EPS), atol=1e-12)
+    np.testing.assert_allclose(bn.running_mean, BatchNorm1d.MOMENTUM * mean.ravel(), atol=1e-12)
+
+
+def test_batchnorm_single_sample_gradients(rng):
+    errs = check_layer(BatchNorm1d(4), rng.standard_normal((1, 4, 9)))
+    assert set(errs) == {"gamma", "beta", "input"}
+    assert max(errs.values()) < 1e-4
 
 
 def test_graphconv_worked_example(rng):

@@ -155,23 +155,46 @@ def test_shuffle_seed_changes_batch_order(toy_benchmark):
     assert log_a[-1]["train_loss"] != log_b[-1]["train_loss"]
 
 
-def test_trailing_singleton_batch_folds_into_previous():
-    """33 samples at batch 16 must not leave a 1-sample batch (batchnorm needs 2)."""
+def test_trailing_singleton_batch_folds_into_previous(monkeypatch):
+    """33 samples at batch 16 train in batches of 16, 16 and 1: the last sample steps alone."""
     specs = toy_two_class_specs(16)
     ds = synth_generate(specs, per_class=17, n_cells=16, seed=0)
     ds.samples = ds.samples[:33]
     model = tiny_model(n_cells=16)
+    forward, sizes = model.forward_batch, []
+
+    def forward_spy(amps, training=False):
+        if training:
+            sizes.append(len(amps))
+        return forward(amps, training)
+
+    monkeypatch.setattr(model, "forward_batch", forward_spy)
     log = train(model, ds, TrainConfig(epochs=1, batch_size=16))
-    assert log[-1]["epoch"] == 1  # completes despite 33 = 16 + 16 + 1
+    assert sizes == [16, 16, 1]
+    assert log[-1]["epoch"] == 1 and math.isfinite(log[-1]["train_loss"])
 
 
-@pytest.mark.parametrize("n, sizes", [(2, [2]), (33, [33]), (34, [32, 2]), (64, [32, 32]),
-                                      (65, [32, 33])], ids=["n2", "n33", "n34", "n64", "n65"])
+@pytest.mark.parametrize("n, sizes", [(2, [2]), (33, [32, 1]), (34, [32, 2]), (64, [32, 32]),
+                                      (65, [32, 32, 1])], ids=["n2", "n33", "n34", "n64", "n65"])
 def test_batches_partition_the_samples_without_a_singleton(n, sizes):
-    """At batch 32, a trailing batch of 1 folds into the one before it; nothing else moves."""
+    """At batch 32, the batches are consecutive slices of one shuffle, the last holding
+    what is left, a single sample included; together they hold every sample once."""
     batches = _batches(n, 32, np.random.default_rng(0))
     assert [len(b) for b in batches] == sizes
     assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("flags", ABLATION_ORDER)
+def test_every_row_trains_on_batches_and_datasets_of_one(flags):
+    """Only BatchNorm sets a minimum, and one profile's cells meet it: every row trains
+    at batch_size 1 and on a one-sample dataset with finite losses."""
+    ds = synth_generate(toy_two_class_specs(16), per_class=2, n_cells=16, seed=0)
+    one = replace(ds, samples=ds.samples[:1])
+    for data, config in ((ds, TrainConfig(epochs=2, batch_size=1)),
+                         (one, TrainConfig(epochs=2, batch_size=4))):
+        log = train(tiny_model(n_cells=16, ablation=flags), data, config)
+        assert len(log) == 3
+        assert all(math.isfinite(row["train_loss"]) for row in log)
 
 
 def test_epoch_row_is_the_mean_over_its_training_batches(toy_benchmark, monkeypatch):
