@@ -8,7 +8,8 @@ artifacts alone.
 
 Exit codes: 0 success, 2 usage/configuration problem or unwritable
 output, 3 unreadable or malformed input file, 4 numeric failure (NaN,
-gradient check above tolerance); each error class carries its own.
+gradient check above tolerance), 130 interrupted (Ctrl-C); each error
+class carries its own.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so it took "-1e-3" for an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent, infinity or NaN, so it took "-1e-3"
+        # and "-inf" for option names; float() reads each of these in any letter case
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def parse_known_args(self, args=None, namespace=None):
         """Reject unknown arguments here, where the hints can come from this command's options."""
@@ -445,6 +448,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # reads raise DataFormatError, so this is an output path
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
-docstring, and an input of any other rank raises ``ShapeError``. The
+docstring, and an input of any other rank raises ``ShapeError``.
+LeakyReLU is the exception: it is elementwise and takes any shape. The
 graph convolution also takes each sample's raw amplitudes and applies the
 range-relative adjacency they define as a factored product, so it is the
 only code that touches the adjacency at run time. It is never followed by

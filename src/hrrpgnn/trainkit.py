@@ -124,28 +124,28 @@ def train(
     Each epoch steps once per ``config.batch_size`` samples of a new
     shuffle, and the last step takes what is left, which may be one sample.
 
-    ``epoch_callback`` receives each row as it is logged; returning a
-    truthy value stops training after that epoch.
+    ``epoch_callback`` receives each row once its validation columns are
+    set; returning a truthy value stops training after that epoch.
     """
     check_fits(model.config, ("training set", dataset), ("validation set", val_dataset))
     amps, labels = dataset.amplitude_matrix(), dataset.labels()
+    log = []
 
-    def val_columns(row):
+    def log_row(row):
+        """Set ``row``'s validation columns and append it to the log; truthy to stop."""
         metrics = evaluate(model, val_dataset) if val_dataset is not None else None
         row["val_accuracy"] = None if metrics is None else metrics.accuracy
         row["val_macro_f1"] = None if metrics is None else metrics.macro_f1
-        return row
+        log.append(row)
+        return epoch_callback is not None and epoch_callback(row)
 
-    log = []
-    baseline = val_columns(
+    if log_row(
         {
             "epoch": 0,
             "train_loss": dataset_loss(model, dataset),
             "train_accuracy": None,
         }
-    )
-    log.append(baseline)
-    if epoch_callback is not None and epoch_callback(baseline):
+    ):
         return log
 
     optimizer = Adam(model.tensors(), config.learning_rate)
@@ -163,15 +163,13 @@ def train(
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
             model.step_count += 1
-        row = val_columns(
+        if log_row(
             {
                 "epoch": epoch,
                 "train_loss": total_loss / len(dataset),
                 "train_accuracy": 100.0 * n_correct / len(dataset),
             }
-        )
-        log.append(row)
-        if epoch_callback is not None and epoch_callback(row):
+        ):
             break
     return log
 
@@ -333,11 +331,6 @@ def run_ablation_suite(
     return results
 
 
-def _mean_std(values: list) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def ablation_table(results: list[dict]) -> str:
     """Aligned summary table, one line per configuration."""
     header = ("config", "components", "accuracy", "avg-accuracy", "macro-F1")
@@ -346,16 +339,13 @@ def ablation_table(results: list[dict]) -> str:
         if row["error"] is not None:
             lines.append((row["flags"], row["components"], "ERROR", row["error"], ""))
             continue
-        acc_m, acc_s = _mean_std(row["accuracy"])
-        avg_m, _ = _mean_std(row["average_accuracy"])
-        f1_m, _ = _mean_std(row["macro_f1"])
         lines.append(
             (
                 row["flags"],
                 row["components"],
-                f"{acc_m:.2f} ± {acc_s:.2f}",
-                f"{avg_m:.2f}",
-                f"{f1_m:.2f}",
+                f"{np.mean(row['accuracy']):.2f} ± {np.std(row['accuracy']):.2f}",
+                f"{np.mean(row['average_accuracy']):.2f}",
+                f"{np.mean(row['macro_f1']):.2f}",
             )
         )
     widths = [max(len(header[i]), *(len(ln[i]) for ln in lines)) for i in range(len(header))]

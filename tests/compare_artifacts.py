@@ -11,7 +11,8 @@ in its own output directory and with OpenBLAS on one thread:
 - train with --batch-size 59 on the 60 default3 training samples, so that each
   epoch's last batch holds one sample;
 - eval --out on the abc row's checkpoint;
-- ablate --seeds 2.
+- ablate --seeds 2;
+- gradcheck --seed 0, which writes no file, so only its log is compared.
 
 Every command runs with relative paths, so the two trees' files, paths
 included, should match byte for byte. Each command's exit code, stdout and
@@ -55,6 +56,7 @@ def _steps():
     yield "eval", ["eval", "--data", f"{DATA}/test.csv", "--checkpoint", "train/abc/model.json",
                    "--out", "eval-metrics.csv"]
     yield "ablate", ["ablate", "--data", DATA, "--seeds", "2", "--out", "ablate", *TRAIN]
+    yield "gradcheck", ["gradcheck", "--seed", "0"]
 
 
 def run_all(tree: Path, out: Path) -> list[str]:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -131,9 +132,10 @@ def test_gradcheck_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "-inf", "-NaN", "-Infinity"])
 def test_gradcheck_tolerance_must_be_finite_and_positive(tol, capsys):
-    # a NaN tolerance would pass every check, a zero or negative one fail every check
+    # a NaN tolerance would pass every check, a zero or negative one fail every check;
+    # a negative infinity or NaN, in any letter case, is a value, not an option name
     capsys.readouterr()
     rc = run("gradcheck", "--tol", tol)
     err = capsys.readouterr().err
@@ -578,6 +580,9 @@ BAD_NUMBERS = {
     # a negative number with an exponent reaches its option as a value
     "train-lr-negative-exponent": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
                                     "--lr", "-1e-3"], "learning_rate"),
+    # and so does a negative infinity
+    "train-lr-negative-inf": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
+                               "--lr", "-inf"], "learning_rate"),
     "train-batch-size-0": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
                             "--batch-size", "0"], "batch_size"),
     "ablate-seeds": (["ablate", "--data", "{gen}", "--out", "{out}", *_TINY, "--seeds", "0"],
@@ -626,6 +631,17 @@ def test_gen_data_test_offset_off_the_grid_names_the_test_split(tmp_path, capsys
     assert rc == 2, err
     assert len(err.strip().splitlines()) == 1, err
     assert "test split, scatterers shifted 1000.0 cells: " in err
+    assert not out.exists(), sorted(out.iterdir())
+
+
+def test_gen_data_test_offset_negative_infinity_reaches_its_option(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run(*(a.format(out=out) for a in _GEN), "--test-offset", "-inf")
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "test split, scatterers shifted -inf cells: " in err
     assert not out.exists(), sorted(out.iterdir())
 
 
@@ -708,18 +724,47 @@ def test_error_classes_carry_the_documented_exit_codes():
                      DataFormatError: 3, NumericError: 4}
 
 
+# the CLI as a child process, and the environment it runs in
+_CHILD = [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())"]
+_CHILD_ENV = {
+    **os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONUNBUFFERED": "1",
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(hrrpgnn.__file__).parents[1]),
+                                                os.environ.get("PYTHONPATH")])),
+}
+
+
 def _run_capped(*argv):
     """The CLI in a child process under a 2 GB address-space cap and a 60 s timeout."""
     cap = 2 * 1024**3
-    src = str(Path(hrrpgnn.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from hrrpgnn.cli import main; sys.exit(main())",
-         *argv],
+        [*_CHILD, *argv],
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_CHILD_ENV, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_interrupt_exits_130_with_one_line(gen_dir, tmp_path):
+    """Ctrl-C during training ends the run with "error: interrupted" and exit 130.
+
+    SIGINT goes to the child after its first epoch line. The child starts with SIGINT's
+    default disposition, as from a terminal, so Python turns the signal into
+    KeyboardInterrupt even where this process ignores it.
+    """
+    proc = subprocess.Popen(
+        [*_CHILD, "train", "--data", str(gen_dir), "--out", str(tmp_path / "out"),
+         "--epochs", "1000000", "--d-out", "2", "--g-out", "2"],
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        env=_CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("epoch    0/1000000")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert err == "error: interrupted\n"
 
 
 def test_gen_data_split_too_large_to_allocate(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,24 @@ def test_early_stop_callback(toy_benchmark):
     assert log[-1]["epoch"] == 2
 
 
+def test_stop_at_the_baseline_leaves_one_row_with_its_validation_columns(toy_benchmark):
+    """A callback that stops at epoch 0 sees that row complete, and nothing trains."""
+    train_ds, test_ds = toy_benchmark
+    model = tiny_model()
+    before = [param.copy() for _, param, _ in model.tensors()]
+    seen = []
+    log = train(model, train_ds, TrainConfig(epochs=5, batch_size=16), val_dataset=test_ds,
+                epoch_callback=lambda row: seen.append(dict(row)) or True)
+    assert [row["epoch"] for row in log] == [0]
+    assert seen == log  # a copy taken inside the callback: the columns were set by then
+    metrics = evaluate(model, test_ds)
+    assert log[0]["val_accuracy"] == metrics.accuracy
+    assert log[0]["val_macro_f1"] == metrics.macro_f1
+    assert model.step_count == 0
+    for (name, param, _), old in zip(model.tensors(), before):
+        np.testing.assert_array_equal(param, old, err_msg=name)
+
+
 def test_epoch_log_csv_format(tmp_path, toy_benchmark):
     train_ds, test_ds = toy_benchmark
     model = tiny_model()
@@ -420,3 +439,22 @@ def test_ablation_table_and_csv(tmp_path, micro_ablation):
     assert lines[0] == "config,components,seed,accuracy,average_accuracy,macro_f1,error"
     assert len(lines) == 1 + 7 * 2
     assert lines[1].startswith("a,local-conv,0,")
+
+
+def test_ablation_table_shows_mean_and_population_std():
+    """Accuracy prints mean ± population std (a sample std would print 35.36), average
+    accuracy and macro-F1 their means; an error row prints ERROR and the error."""
+    rows = [
+        {"flags": "abc", "components": "local-conv+graph-conv+attention",
+         "accuracy": [50.0, 100.0], "average_accuracy": [40.0, 60.0], "macro_f1": [30.0, 50.0],
+         "error": None},
+        {"flags": "a", "components": "local-conv", "accuracy": [], "average_accuracy": [],
+         "macro_f1": [], "error": "NumericError: boom"},
+    ]
+    lines = ablation_table(rows).splitlines()
+    assert re.split(r"\s{2,}", lines[0]) == ["config", "components", "accuracy",
+                                             "avg-accuracy", "macro-F1"]
+    assert re.split(r"\s{2,}", lines[2].strip()) == [
+        "abc", "local-conv+graph-conv+attention", "75.00 ± 25.00", "50.00", "40.00"]
+    assert re.split(r"\s{2,}", lines[3].strip()) == ["a", "local-conv", "ERROR",
+                                                     "NumericError: boom"]
