@@ -15,6 +15,7 @@ class carries its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import errno
 import os
@@ -40,7 +41,7 @@ from .data import (
     write_text,
 )
 from .errors import DataFormatError, HrrpGnnError, UsageError
-from .gradcheck import check_all_ablations, layer_suite, worst_error
+from .gradcheck import LAYER_NAMES, check_all_ablations, layer_suite, worst_error
 from .model import GraphClassifier, ModelConfig
 from .trainkit import (
     TrainConfig,
@@ -334,10 +335,6 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     per_layer = layer_suite(seed=args.seed)
     if args.layer is not None:
-        if args.layer not in per_layer:
-            raise UsageError(
-                f"unknown layer {args.layer!r}; one of {sorted(per_layer)} or omit --layer"
-            )
         results = {args.layer: per_layer[args.layer]}
         for name, err in per_layer[args.layer].items():
             print(f"{args.layer}.{name:<20} {err:.3e}")
@@ -423,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward passes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layer", help="check a single layer (conv1d, batchnorm, leaky_relu, "
-                                   "graphconv, graphconv_attention, attention, mean_pool, "
-                                   "dense)")
+    p.add_argument("--layer", choices=LAYER_NAMES, help="check a single layer")
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -434,8 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    made = None  # the --out this run may create, removed below if it is left empty
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None) is not None and not os.path.lexists(args.out):
+            made = args.out
         # a diverging run is reported once, by numerics' finiteness check, and a
         # warning is one "warning:" line, without the source line Python adds
         with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
@@ -448,9 +446,13 @@ def main(argv=None) -> int:
     except OSError as exc:  # reads raise DataFormatError, so this is an output path
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+    except KeyboardInterrupt as exc:  # train's carries "at epoch E[, step S]"
+        print(f"error: interrupted {exc}".rstrip(), file=sys.stderr)
         return 130
+    finally:
+        if made is not None:
+            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
+                os.rmdir(made)
 
 
 if __name__ == "__main__":

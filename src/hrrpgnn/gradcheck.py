@@ -28,6 +28,10 @@ from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 STEP = 1e-4
 BATCH_SIZE = 3
 
+# the keys of layer_suite's result, in the order it checks them
+LAYER_NAMES = ("conv1d", "batchnorm", "leaky_relu", "graphconv", "graphconv_attention",
+               "attention", "mean_pool", "dense")
+
 
 def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
     """Max relative error between ``analytic_grad`` and central differences of ``f``.

@@ -18,16 +18,19 @@ validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
-docstring, and an input of any other rank raises ``ShapeError``.
-LeakyReLU is the exception: it is elementwise and takes any shape. The
-graph convolution also takes each sample's raw amplitudes and applies the
-range-relative adjacency they define as a factored product, so it is the
-only code that touches the adjacency at run time. It is never followed by
-a separate pooling layer: it reads its own output out, by the mean or
-through its own attention scores, so its per-node output is never
-formed. AttentionPool and MeanPool run on their own only when there is
-no graph convolution. GraphConv and AttentionPool keep their last
-forward's (batch, N) pooling weights in ``alpha``.
+docstring, and an input of any other rank raises ``ShapeError``. So does
+an input whose axis 1 (channels or features) is not the layer's width:
+one check, ``_batch``, refuses both. LeakyReLU is the exception: it is
+elementwise and takes any shape.
+
+The graph convolution also takes each sample's raw amplitudes and
+applies the range-relative adjacency they define as a factored product,
+so it is the only code that touches the adjacency at run time. It is
+never followed by a separate pooling layer: it reads its own output out,
+by the mean or through its own attention scores, so its per-node output
+is never formed. AttentionPool and MeanPool run on their own only when
+there is no graph convolution. GraphConv and AttentionPool keep their
+last forward's (batch, N) pooling weights in ``alpha``.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ from .numerics import softmax
 KERNEL_WIDTH = 3
 
 
-def _batch(x, ndim: int, what: str) -> np.ndarray:
-    """``x`` as a float64 array of the batched rank ``ndim``."""
+def _batch(x, ndim: int, what: str, width: int | None = None) -> np.ndarray:
+    """``x`` as a float64 array of the batched rank ``ndim`` and, given one, axis-1 ``width``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != ndim:
         raise ShapeError(f"{what}: expected a {ndim}-D batch, got ndim={x.ndim}")
+    if width is not None and x.shape[1] != width:
+        raise ShapeError(f"{what}: input has width {x.shape[1]} on axis 1, layer expects {width}")
     return x
 
 
@@ -95,11 +100,7 @@ class Conv1d(_Layer):
         self.g_kernels = np.zeros_like(self.kernels)
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x3 = _batch(x, 3, "conv1d")
-        if x3.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv1d: input has {x3.shape[1]} channels, kernels expect {self.in_channels}"
-            )
+        x3 = _batch(x, 3, "conv1d", self.in_channels)
         b, c, n = x3.shape
         if n < KERNEL_WIDTH:
             raise ShapeError(f"conv1d: need at least {KERNEL_WIDTH} positions, got {n}")
@@ -159,11 +160,7 @@ class BatchNorm1d(_Layer):
         self.g_beta = np.zeros_like(self.beta)
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x3 = _batch(x, 3, "batchnorm")
-        if x3.shape[1] != self.channels:
-            raise ShapeError(
-                f"batchnorm: input has {x3.shape[1]} channels, layer expects {self.channels}"
-            )
+        x3 = _batch(x, 3, "batchnorm", self.channels)
         if training:
             if x3.shape[0] * x3.shape[2] < 2:
                 raise ConfigError("batchnorm training mode needs at least 2 values per channel "
@@ -260,9 +257,7 @@ class GraphConv(_Layer):
         return out
 
     def forward(self, nodes, amplitudes, training: bool = False) -> np.ndarray:
-        x3 = _batch(nodes, 3, "graphconv nodes")
-        if x3.shape[1] != self.in_dim:
-            raise ShapeError(f"graphconv: input has {x3.shape[1]} channels, expected {self.in_dim}")
+        x3 = _batch(nodes, 3, "graphconv nodes", self.in_dim)
         if x3.shape[2] != self.n_nodes:
             raise ShapeError(
                 f"graphconv: layer is built for {self.n_nodes} nodes, input has {x3.shape[2]}"
@@ -342,11 +337,7 @@ class AttentionPool(_Layer):
         self.g_w = np.zeros_like(self.w)
 
     def forward(self, nodes, training: bool = False) -> np.ndarray:
-        x3 = _batch(nodes, 3, "attention")
-        if x3.shape[1] != self.feature_dim:
-            raise ShapeError(
-                f"attention: input has {x3.shape[1]} features, layer expects {self.feature_dim}"
-            )
+        x3 = _batch(nodes, 3, "attention", self.feature_dim)
         alpha = softmax(self.w @ x3, axis=1)
         pooled = np.matmul(x3, alpha[:, :, None])[:, :, 0]
         self._cache = (x3, alpha)
@@ -384,16 +375,13 @@ class Dense(_Layer):
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = uniform_init(rng, (out_dim, in_dim), in_dim)
         self.b = np.zeros(out_dim)
         self.g_w = np.zeros_like(self.w)
         self.g_b = np.zeros_like(self.b)
 
     def forward(self, v, training: bool = False) -> np.ndarray:
-        v2 = _batch(v, 2, "dense")
-        if v2.shape[1] != self.in_dim:
-            raise ShapeError(f"dense: input has {v2.shape[1]} features, layer expects {self.in_dim}")
+        v2 = _batch(v, 2, "dense", self.in_dim)
         self._cache = v2
         return v2 @ self.w.T + self.b[None, :]
 

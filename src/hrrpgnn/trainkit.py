@@ -126,6 +126,9 @@ def train(
 
     ``epoch_callback`` receives each row once its validation columns are
     set; returning a truthy value stops training after that epoch.
+
+    A ``NumericError`` or ``KeyboardInterrupt`` is raised again naming where
+    training was, "epoch E" or, inside a step, "epoch E, step S".
     """
     check_fits(model.config, ("training set", dataset), ("validation set", val_dataset))
     amps, labels = dataset.amplitude_matrix(), dataset.labels()
@@ -139,38 +142,43 @@ def train(
         log.append(row)
         return epoch_callback is not None and epoch_callback(row)
 
-    if log_row(
-        {
-            "epoch": 0,
-            "train_loss": dataset_loss(model, dataset),
-            "train_accuracy": None,
-        }
-    ):
-        return log
+    where = "epoch 0"
+    try:
+        if log_row(
+            {
+                "epoch": 0,
+                "train_loss": dataset_loss(model, dataset),
+                "train_accuracy": None,
+            }
+        ):
+            return log
 
-    optimizer = Adam(model.tensors(), config.learning_rate)
-    rng = np.random.default_rng(config.shuffle_seed)
-    for epoch in range(1, config.epochs + 1):
-        total_loss = 0.0
-        n_correct = 0
-        for step, idx in enumerate(_batches(len(dataset), config.batch_size, rng), start=1):
-            try:
+        optimizer = Adam(model.tensors(), config.learning_rate)
+        rng = np.random.default_rng(config.shuffle_seed)
+        for epoch in range(1, config.epochs + 1):
+            total_loss = 0.0
+            n_correct = 0
+            for step, idx in enumerate(_batches(len(dataset), config.batch_size, rng), start=1):
+                where = f"epoch {epoch}, step {step}"
                 log_probs = model.forward_batch(amps[idx], training=True)
                 total_loss += model.loss_batch(log_probs, labels[idx]) * len(idx)
                 n_correct += int((np.argmax(log_probs, axis=1) == labels[idx]).sum())
                 model.backward(labels[idx])
                 optimizer.step()
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, step {step}: {exc}") from exc
-            model.step_count += 1
-        if log_row(
-            {
-                "epoch": epoch,
-                "train_loss": total_loss / len(dataset),
-                "train_accuracy": 100.0 * n_correct / len(dataset),
-            }
-        ):
-            break
+                model.step_count += 1
+            where = f"epoch {epoch}"
+            if log_row(
+                {
+                    "epoch": epoch,
+                    "train_loss": total_loss / len(dataset),
+                    "train_accuracy": 100.0 * n_correct / len(dataset),
+                }
+            ):
+                break
+    except NumericError as exc:
+        raise NumericError(f"{where}: {exc}") from exc
+    except KeyboardInterrupt as exc:
+        raise KeyboardInterrupt(f"at {where}") from exc
     return log
 
 

@@ -122,8 +122,14 @@ def test_gradcheck_single_layer(capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_gradcheck_unknown_layer():
+def test_gradcheck_unknown_layer(monkeypatch, capsys):
+    # argparse refuses the name with one line, before any check runs
+    monkeypatch.setattr("hrrpgnn.cli.layer_suite", lambda **_: pytest.fail("a check ran"))
+    capsys.readouterr()
     assert run("gradcheck", "--layer", "bogus") == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "argument --layer: invalid choice" in err and "bogus" in err
 
 
 def test_gradcheck_fails_at_impossible_tolerance(capsys):
@@ -484,6 +490,7 @@ def test_diverging_training_exit_code(gen_dir, tmp_path, capsys):
     assert len(errors) == 1, err
     assert len(errors[0]) <= 200, errors[0]
     assert re.match(r"error: epoch \d+, step \d+: ", errors[0]), errors[0]
+    assert not (tmp_path / "run").exists()  # the run made it and wrote nothing into it
 
 
 def _assert_one_line_error(rc, err, code, path):
@@ -744,7 +751,7 @@ def _run_capped(*argv):
 
 
 def test_interrupt_exits_130_with_one_line(gen_dir, tmp_path):
-    """Ctrl-C during training ends the run with "error: interrupted" and exit 130.
+    """Ctrl-C during training ends the run with one line naming the epoch, and exit 130.
 
     SIGINT goes to the child after its first epoch line. The child starts with SIGINT's
     default disposition, as from a terminal, so Python turns the signal into
@@ -764,7 +771,33 @@ def test_interrupt_exits_130_with_one_line(gen_dir, tmp_path):
         proc.kill()
         proc.wait()
     assert proc.returncode == 130, err
-    assert err == "error: interrupted\n"
+    assert re.fullmatch(r"error: interrupted at epoch \d+(, step \d+)?\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_interrupt_inside_a_step_names_it(gen_dir, tmp_path, monkeypatch, capsys):
+    """An interrupt in the first backward names epoch 1, step 1; the --out it made goes."""
+    def interrupt(self, labels):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(GraphClassifier, "backward", interrupt)
+    capsys.readouterr()
+    rc = run("train", "--data", str(gen_dir), "--out", str(tmp_path / "out"),
+             "--epochs", "2", "--d-out", "2", "--g-out", "2", "--quiet")
+    err = capsys.readouterr().err
+    assert rc == 130, err
+    assert err == "error: interrupted at epoch 1, step 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_keeps_an_out_that_already_existed(gen_dir, tmp_path, capsys):
+    """Only a directory the run itself created is removed; one made beforehand stays."""
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = run("train", "--data", str(gen_dir), "--out", str(out),
+             "--epochs", "2", "--d-out", "2", "--g-out", "2", "--lr", "1e300", "--quiet")
+    assert rc == 4, capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_gen_data_split_too_large_to_allocate(tmp_path):

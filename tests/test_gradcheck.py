@@ -6,6 +6,7 @@ from oracle_reference import conv1d as oracle_conv1d
 
 import hrrpgnn.gradcheck
 from hrrpgnn.gradcheck import (
+    LAYER_NAMES,
     STEP,
     check_all_ablations,
     check_layer,
@@ -42,10 +43,11 @@ def test_conv1d_matches_oracle_and_gradients(in_channels, rng):
 
 def test_layer_suite_covers_every_layer_type():
     results = layer_suite(seed=0)
-    assert set(results) == {
+    # the CLI's --layer choices are LAYER_NAMES, so they name exactly these checks
+    assert tuple(results) == LAYER_NAMES == (
         "conv1d", "batchnorm", "leaky_relu", "graphconv", "graphconv_attention", "attention",
         "mean_pool", "dense",
-    }
+    )
     # the graph conv with either readout: its own tensors, the input, and its own
     # score vector when it reads out through attention
     assert set(results["graphconv"]) == {"w1", "w2", "bias", "input"}

@@ -350,6 +350,19 @@ def test_layers_reject_unbatched_input(rng):
             layer.forward(*args)
 
 
+@pytest.mark.parametrize("name, make, args", [
+    ("conv1d", lambda rng: Conv1d(2, 1, rng), (np.zeros((1, 3, 4)),)),
+    ("batchnorm", lambda rng: BatchNorm1d(2), (np.zeros((1, 3, 4)),)),
+    ("graphconv", lambda rng: GraphConv(2, 1, 4, rng), (np.zeros((1, 3, 4)), np.ones((1, 4)))),
+    ("attention", lambda rng: AttentionPool(2, rng), (np.zeros((1, 3, 4)),)),
+    ("dense", lambda rng: Dense(2, 1, rng), (np.zeros((1, 3)),)),
+])
+def test_layers_reject_a_wrong_axis_1_width(name, make, args, rng):
+    """Axis 1 of a layer's input has the layer's width; the error names both widths."""
+    with pytest.raises(ShapeError, match=rf"^{name}\b.*\b3\b.*\b2$"):
+        make(rng).forward(*args)
+
+
 def test_backward_before_forward_raises(rng):
     for layer in (Conv1d(1, 1, rng), BatchNorm1d(1), GraphConv(1, 1, 3, rng),
                   AttentionPool(1, rng), MeanPool(), Dense(1, 1, rng), LeakyReLU()):
