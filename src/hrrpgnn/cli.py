@@ -6,6 +6,11 @@ then explicit flags; the merged result is echoed to
 ``<out>/resolved_config.json`` so a run can be reproduced from its
 artifacts alone.
 
+``main`` alone makes and removes run directories: it creates gen-data's,
+train's and ablate's --out with its missing parents before the command
+runs, then removes each one it made that is still empty. eval's --out
+is a CSV file, which eval checks and writes itself.
+
 Exit codes: 0 success, 2 usage/configuration problem or unwritable
 output, 3 unreadable or malformed input file, 4 numeric failure (NaN,
 gradient check above tolerance), 130 interrupted (Ctrl-C); each error
@@ -190,7 +195,6 @@ def cmd_gen_data(args) -> int:
         normalization=resolved["normalization"],
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
     save_csv(train_ds, out_dir / "train.csv")
     save_csv(test_ds, out_dir / "test.csv")
     save_class_specs(specs, out_dir / "class_specs.json")
@@ -235,7 +239,6 @@ def cmd_train(args) -> int:
     check_fits(model.config, (f"--val-data {args.val_data}", val_ds), (test_name, test_ds))
     tc = _train_config(resolved)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
     log = train(model, train_ds, tc, val_dataset=val_ds,
                 epoch_callback=_epoch_printer(tc.epochs, args.quiet))
 
@@ -267,7 +270,7 @@ def _metrics_csv(metrics) -> str:
 
 
 def cmd_eval(args) -> int:
-    out = None if args.out is None else Path(args.out)
+    out = None if args.csv is None else Path(args.csv)
     if out is not None and (out.is_dir() or not out.parent.is_dir()):  # before any work
         code = errno.EISDIR if out.is_dir() else errno.ENOENT
         raise OSError(code, os.strerror(code), str(out))
@@ -282,9 +285,9 @@ def cmd_eval(args) -> int:
     for name, acc in zip(metrics.class_names, metrics.per_class_accuracy):
         print(f"  {name:<12} {acc:6.2f}%")
     print(format_confusion(metrics))
-    if args.out is not None:
-        write_text(args.out, _metrics_csv(metrics))
-        print(f"wrote {args.out}")
+    if args.csv is not None:
+        write_text(args.csv, _metrics_csv(metrics))
+        print(f"wrote {args.csv}")
     return 0
 
 
@@ -310,7 +313,6 @@ def cmd_ablate(args) -> int:
     GraphClassifier(base)  # widths too large to allocate fail here, not in every row
     tc = _train_config(resolved)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once settings and inputs are accepted
 
     def progress(flags, seed, metrics):
         if not args.quiet:
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--checkpoint", required=True, help="model.json from a training run")
-    p.add_argument("--out", help="also write the metrics as CSV here")
+    p.add_argument("--out", dest="csv", help="also write the metrics as CSV here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train/evaluate every module subset")
@@ -429,11 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    made = None  # the --out this run may create, removed below if it is left empty
+    made = []  # the directories this run creates for --out, deepest first
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "out", None) is not None and not os.path.lexists(args.out):
-            made = args.out
+        if getattr(args, "out", None) is not None:  # a run directory; eval's CSV is args.csv
+            out = Path(args.out)
+            made = [d for d in (out, *out.parents) if not os.path.lexists(d)]
+            out.mkdir(parents=True, exist_ok=True)
         # a diverging run is reported once, by numerics' finiteness check, and a
         # warning is one "warning:" line, without the source line Python adds
         with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
@@ -450,9 +454,9 @@ def main(argv=None) -> int:
         print(f"error: interrupted {exc}".rstrip(), file=sys.stderr)
         return 130
     finally:
-        if made is not None:
-            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
-                os.rmdir(made)
+        for d in made:  # rmdir removes only an empty directory, so a written run stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
 
 
 if __name__ == "__main__":

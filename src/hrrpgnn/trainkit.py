@@ -20,7 +20,10 @@ from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
 _COMPONENT_NAMES = {"a": "local-conv", "b": "graph-conv", "c": "attention"}
 
-# samples per forward pass in eval-mode loss and metric sweeps
+# rows per eval-mode forward_batch call in loss and metric sweeps. The model runs each
+# call in its own 32-row blocks (model._EVAL_BLOCK), so this sets how many calls a sweep
+# makes, not what a block computes. It is kept apart from _EVAL_BLOCK because perfbench's
+# infer-io-501 step times one such call: another size changes what its step_ms measures.
 EVAL_CHUNK = 256
 
 
@@ -303,6 +306,8 @@ def run_ablation_suite(
     A failure inside one configuration is captured in that row's ``error``
     field and the sweep continues, so one bad config cannot sink the table.
     A dataset that does not fit ``model_config`` raises before the first row.
+    A ``KeyboardInterrupt`` ends the sweep, raised again naming the row and
+    seed after train's "at epoch E, step S".
     """
     if not seeds:
         raise ConfigError("need at least one seed")
@@ -333,6 +338,8 @@ def run_ablation_suite(
                 row["final_loss"].append(log[-1]["train_loss"])
                 if progress is not None:
                     progress(flags, seed, metrics)
+        except KeyboardInterrupt as exc:
+            raise KeyboardInterrupt(f"{exc} in row {flags}, seed {seed}".lstrip()) from exc
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the point
             row["error"] = f"{type(exc).__name__}: {exc}"
         results.append(row)

@@ -16,12 +16,14 @@ in its own output directory and with OpenBLAS on one thread:
 
 Every command runs with relative paths, so the two trees' files, paths
 included, should match byte for byte. Each command's exit code, stdout and
-stderr is kept as ``logs/<step>.txt`` and compared too. Prints each step
-that exited nonzero and the name of each file that differs or exists on one
-side only, with the first differing line from each side of a differing text
-file, and exits 1 if there is any; the worktree is removed either way. Also
-prints ``wc -l``-style line counts of each ``src/hrrpgnn/*.py`` module, and
-their total, in both trees. pytest does not collect this file.
+stderr is kept as ``logs/<step>.txt`` and compared too. Directories are
+compared by name, so an empty directory left behind on one side shows.
+Prints each step that exited nonzero and the name of each file that differs
+and of each file or directory that exists on one side only, with the first
+differing line from each side of a differing text file, and exits 1 if there
+is any; the worktree is removed either way. Also prints ``wc -l``-style line
+counts of each ``src/hrrpgnn/*.py`` module, and their total, in both trees.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -90,14 +92,20 @@ def print_line_counts(rev: str, base: dict[str, int], work: dict[str, int]) -> N
     print(f"  {'total':<18} {sum(base.values()):>12} {sum(work.values()):>12}")
 
 
+def _contents(path: Path) -> bytes | None:
+    """A file's bytes; None for a directory."""
+    return path.read_bytes() if path.is_file() else None
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], int]:
-    """Relative paths of the files that differ between ``a`` and ``b`` or exist in one only,
-    and the number of files in either."""
-    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
-    differ = files_a ^ files_b | {
-        p for p in files_a & files_b if (a / p).read_bytes() != (b / p).read_bytes()}
-    return sorted(map(str, differ)), len(files_a | files_b)
+    """Relative paths of the files that differ between ``a`` and ``b``, and of the files
+    and directories that exist in one only or are a file in one and a directory in the
+    other; and the number of files and directories in either."""
+    paths_a = {p.relative_to(a) for p in a.rglob("*")}
+    paths_b = {p.relative_to(b) for p in b.rglob("*")}
+    differ = paths_a ^ paths_b | {
+        p for p in paths_a & paths_b if _contents(a / p) != _contents(b / p)}
+    return sorted(map(str, differ)), len(paths_a | paths_b)
 
 
 def first_difference(a: Path, b: Path) -> str | None:
@@ -137,7 +145,8 @@ def main(argv: list[str]) -> int:
             shown = first_difference(tmp / "base" / path, tmp / "work" / path)
             if shown is not None:
                 print(f"  {shown}")
-        print(f"{n_files - len(differ)} of {n_files} files byte-identical to {argv[0]}")
+        print(f"{n_files - len(differ)} of {n_files} files and directories identical to "
+              f"{argv[0]}")
         print_line_counts(argv[0], base_lines, line_counts(REPO))
     return 1 if differ or failed else 0
 

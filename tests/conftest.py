@@ -10,18 +10,6 @@ def toy_benchmark():
     return make_benchmark(toy_two_class_specs(32), per_class=50, n_cells=32, seed=0)
 
 
-@pytest.fixture(scope="session")
-def toy_data_dir(tmp_path_factory, toy_benchmark):
-    """The toy benchmark written out as a CLI-consumable directory."""
-    from hrrpgnn.data import save_csv
-
-    train_ds, test_ds = toy_benchmark
-    d = tmp_path_factory.mktemp("toydata")
-    save_csv(train_ds, d / "train.csv")
-    save_csv(test_ds, d / "test.csv")
-    return d
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

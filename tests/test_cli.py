@@ -800,6 +800,35 @@ def test_failed_run_keeps_an_out_that_already_existed(gen_dir, tmp_path, capsys)
     assert out.is_dir() and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("nest_existed", [False, True])
+def test_failed_run_removes_the_parents_of_out_it_created(nest_existed, gen_dir, tmp_path,
+                                                          capsys):
+    """A failed run removes every directory it made for a nested --out, parents included."""
+    nest = tmp_path / "nest"
+    if nest_existed:
+        nest.mkdir()
+    rc = run("train", "--data", str(gen_dir), "--out", str(nest / "a" / "b"),
+             "--epochs", "2", "--d-out", "2", "--g-out", "2", "--lr", "1e300", "--quiet")
+    assert rc == 4, capsys.readouterr().err
+    assert nest.exists() == nest_existed
+    assert not (nest / "a").exists()
+
+
+def test_interrupted_ablate_names_its_row_and_seed(gen_dir, tmp_path, monkeypatch, capsys):
+    """An interrupt in the first backward of the sweep names row a, seed 0, epoch 1, step 1."""
+    def interrupt(self, labels):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(GraphClassifier, "backward", interrupt)
+    capsys.readouterr()
+    rc = run("ablate", "--data", str(gen_dir), "--out", str(tmp_path / "out"), "--seeds", "1",
+             "--epochs", "2", "--d-out", "2", "--g-out", "2", "--quiet")
+    err = capsys.readouterr().err
+    assert rc == 130, err
+    assert err == "error: interrupted at epoch 1, step 1 in row a, seed 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_split_too_large_to_allocate(tmp_path):
     """A --per-class that the host cannot hold exits 2 at once, before --out exists.
 
