@@ -9,12 +9,13 @@ the next operation cancels (Conv1d's before BatchNorm, an attention score
 before the softmax) is left out. ``PARAMS`` names the parameter arrays in
 checkpoint order, and the gradient slot of parameter ``p`` is the
 same-shaped array ``g_p``. ``forward`` computes the layer function and
-caches whatever the analytic ``backward`` needs; ``backward`` takes the
-upstream gradient, overwrites every gradient slot in place (optimizers
-hold references to them) and returns the gradient with respect to the
-layer input. Gradients are hand-derived from the forward semantics, not
-traced, and ``gradcheck.finite_diff_check`` is the oracle used to
-validate them.
+caches whatever the analytic ``backward`` needs, the input itself by
+reference in some layers, so an input must not change between the two;
+``backward`` takes the upstream gradient, overwrites every gradient slot
+in place (optimizers hold references to them) and returns the gradient
+with respect to the layer input. Gradients are hand-derived from the
+forward semantics, not traced, and ``gradcheck.finite_diff_check`` is the
+oracle used to validate them.
 
 Layers take batches only: every input, output and gradient carries a
 leading batch axis in front of the per-sample shape given in each
@@ -104,21 +105,22 @@ class Conv1d(_Layer):
         b, c, n = x3.shape
         if n < KERNEL_WIDTH:
             raise ShapeError(f"conv1d: need at least {KERNEL_WIDTH} positions, got {n}")
-        xp = np.pad(x3, ((0, 0), (0, 0), (1, 1)))
-        # im2col: cols[b, c, k, i] = xp[b, c, i + k], so the whole layer is one
-        # (out, 3 in) @ (3 in, N) product per sample; only xp outlives forward
+        # im2col: cols[b, c, k, i] = x[b, c, i + k - 1], 0 off either end, so the layer is
+        # one (out, 3 in) @ (3 in, N) product per sample; backward pads the cached input
         cols = np.empty((b, c, KERNEL_WIDTH, n))
-        for k in range(KERNEL_WIDTH):
-            cols[:, :, k, :] = xp[:, :, k : k + n]
+        cols[:, :, 0, 0] = cols[:, :, 2, -1] = 0.0
+        cols[:, :, 0, 1:] = x3[:, :, :-1]
+        cols[:, :, 1, :] = x3
+        cols[:, :, 2, :-1] = x3[:, :, 1:]
         y = np.matmul(
             self.kernels.reshape(self.out_channels, c * KERNEL_WIDTH),
             cols.reshape(b, c * KERNEL_WIDTH, n),
         )
-        self._cache = xp
+        self._cache = x3
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        xp = self._cached()
+        xp = np.pad(self._cached(), ((0, 0), (0, 0), (1, 1)))
         g3 = _batch(grad_out, 3, "conv1d grad")
         n = xp.shape[2] - 2
         g_xp = np.zeros_like(xp)
@@ -137,12 +139,14 @@ class BatchNorm1d(_Layer):
 
         running <- (1 - momentum) * running + momentum * batch_stat
 
-    Eval mode standardizes with the running statistics alone. Population
-    (biased) variance is used both for normalization and for the running
-    update so the backward pass differentiates exactly the forward
-    expression; backward needs a training-mode forward. The statistics run
-    over batch x positions, so training mode needs at least 2 values per
-    channel there, and a batch of one profile is enough.
+    Eval mode applies the running statistics as one per-channel affine map
+    x * scale + shift, scale = gamma / sqrt(running_var + EPS) and shift =
+    beta - running_mean * scale, which can differ from the training form in
+    the last bit. Population (biased) variance is used both for
+    normalization and the running update so that backward, which needs a
+    training-mode forward, differentiates exactly the forward expression.
+    The statistics run over batch x positions, so training mode needs at
+    least 2 values per channel there; a batch of one profile is enough.
     """
 
     EPS = 1e-5
@@ -161,38 +165,38 @@ class BatchNorm1d(_Layer):
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm", self.channels)
-        if training:
-            if x3.shape[0] * x3.shape[2] < 2:
-                raise ConfigError("batchnorm training mode needs at least 2 values per channel "
-                                  f"over batch x cells, got {x3.shape[0]} x {x3.shape[2]}")
-            mean = x3.mean(axis=(0, 2))
-            xhat = x3 - mean[None, :, None]
-            # ndarray.var's own expression, so the square's buffer can hold the output
-            y = xhat * xhat
-            var = y.sum(axis=(0, 2)) / (x3.shape[0] * x3.shape[2])
-            self.running_mean[...] = (1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
-            self.running_var[...] = (1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
-            xhat = x3 - mean[None, :, None]
-            y = np.empty_like(xhat)
+        if not training:
+            scale = self.gamma / np.sqrt(self.running_var + self.EPS)
+            y = x3 * scale[None, :, None]
+            y += (self.beta - self.running_mean * scale)[None, :, None]
+            self._cache = ()  # nothing for backward, which refuses it
+            return y
+        if x3.shape[0] * x3.shape[2] < 2:
+            raise ConfigError("batchnorm training mode needs at least 2 values per channel "
+                              f"over batch x cells, got {x3.shape[0]} x {x3.shape[2]}")
+        mean = x3.mean(axis=(0, 2))
+        xhat = x3 - mean[None, :, None]
+        # ndarray.var's own expression, so the square's buffer can hold the output
+        y = xhat * xhat
+        var = y.sum(axis=(0, 2)) / (x3.shape[0] * x3.shape[2])
+        self.running_mean[...] = (1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
+        self.running_var[...] = (1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std[None, :, None]
         np.multiply(self.gamma[None, :, None], xhat, out=y)
         y += self.beta[None, :, None]
-        self._cache = (xhat, inv_std, training, x3.shape)
+        self._cache = (xhat, inv_std)
         return y
 
     def backward(self, grad_out) -> np.ndarray:
-        xhat, inv_std, training, xshape = self._cached()
-        if not training:
+        if not self._cached():
             raise UsageError("batchnorm: backward needs a training-mode forward")
+        xhat, inv_std = self._cache
         g3 = _batch(grad_out, 3, "batchnorm grad")
         g_xhat = g3 * xhat
         self.g_gamma[...] = g_xhat.sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
-        m = xshape[0] * xshape[2]
+        m = xhat.shape[0] * xhat.shape[2]
         # (gamma inv_std / m) * (m g - sum g - xhat * sum(g xhat)), evaluated in place
         g_x = m * g3
         g_x -= self.g_beta[None, :, None]

@@ -29,16 +29,23 @@ def test_check_layer_dense(rng):
 
 @pytest.mark.parametrize("in_channels", [1, 3])
 def test_conv1d_matches_oracle_and_gradients(in_channels, rng):
-    """The network's two conv shapes: one input channel (conv1) and several (conv2)."""
+    """The network's two conv shapes: one input channel (conv1) and several (conv2).
+
+    Each runs at N = 9 and at N = 3, the smallest legal width, where every
+    output cell but the middle one reads a zero off an edge.
+    """
     conv = Conv1d(in_channels, 4, rng)
-    x = rng.normal(size=(3, in_channels, 9))
-    out = conv.forward(x)
-    for b in range(3):
-        expected = oracle_conv1d(x[b].tolist(), conv.kernels.tolist())
-        np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
-    errs = check_layer(conv, x, seed=in_channels)
-    assert set(errs) == {"kernels", "input"}
-    assert max(errs.values()) < TOL
+    for n in (3, 9):
+        x = rng.normal(size=(3, in_channels, n))
+        before = x.copy()
+        out = conv.forward(x)
+        np.testing.assert_array_equal(x, before, err_msg=f"N={n}")
+        for b in range(3):
+            expected = oracle_conv1d(x[b].tolist(), conv.kernels.tolist())
+            np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12, err_msg=f"N={n}")
+        errs = check_layer(conv, x, seed=in_channels)
+        assert set(errs) == {"kernels", "input"}
+        assert max(errs.values()) < TOL, f"N={n}"
 
 
 def test_layer_suite_covers_every_layer_type():

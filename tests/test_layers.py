@@ -17,7 +17,7 @@ from hrrpgnn.layers import (
     uniform_init,
 )
 from hrrpgnn.numerics import softmax
-from oracle_reference import build_adjacency
+from oracle_reference import batchnorm_eval, build_adjacency
 
 # ---- worked examples ------------------------------------------------------------
 
@@ -87,6 +87,24 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_var[...] = 4.0
     out = bn.forward(np.array([[[7.0]]]), training=False)
     np.testing.assert_allclose(out, [[[2.0 / math.sqrt(4.0 + 1e-5)]]], atol=1e-12)
+
+
+def test_batchnorm_eval_matches_oracle_at_the_shipped_shape(rng):
+    """Non-trivial affine parameters and running statistics in every channel."""
+    bn = BatchNorm1d(16)
+    for arr, low, high in ((bn.gamma, -2.0, 2.0), (bn.beta, -2.0, 2.0),
+                           (bn.running_mean, -2.0, 2.0), (bn.running_var, 0.5, 1.5)):
+        arr[...] = rng.uniform(low, high, size=16)
+    x = rng.normal(size=(32, 16, 501))
+    before = x.copy()
+    out = bn.forward(x, training=False)
+    np.testing.assert_array_equal(x, before)
+    args = [a.tolist() for a in (bn.gamma, bn.beta, bn.running_mean, bn.running_var)]
+    for b in range(32):
+        expected = batchnorm_eval(x[b].tolist(), *args, BatchNorm1d.EPS)
+        np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
+    with pytest.raises(UsageError, match="training-mode forward"):
+        bn.backward(np.ones_like(out))
 
 
 def test_batchnorm_backward_needs_training_forward():

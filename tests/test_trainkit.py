@@ -268,6 +268,23 @@ def test_val_columns_present_with_val_set(toy_benchmark):
     assert log[-1]["val_macro_f1"] is not None
 
 
+@pytest.mark.parametrize("flags", ["abc", "a"])
+def test_validation_passes_change_nothing_in_training(flags, toy_benchmark):
+    """Eval-mode passes write no running statistic and no cache the next backward reads."""
+    train_ds, test_ds = toy_benchmark
+    runs = []
+    for val in (None, test_ds):
+        model = tiny_model(ablation=flags)
+        log = train(model, train_ds, TrainConfig(epochs=3, batch_size=16), val_dataset=val)
+        runs.append((model.state_arrays(), [row["train_loss"] for row in log]))
+    (state, losses), (state_val, losses_val) = runs
+    assert losses_val == losses
+    assert list(state_val) == list(state)
+    assert any(name.startswith("bn") for name in state)
+    for name, arr in state.items():
+        np.testing.assert_array_equal(state_val[name], arr, err_msg=name)
+
+
 def test_early_stop_callback(toy_benchmark):
     train_ds, _ = toy_benchmark
     log = train(tiny_model(), train_ds, TrainConfig(epochs=50, batch_size=16),
