@@ -24,6 +24,10 @@ an input whose axis 1 (channels or features) is not the layer's width:
 one check, ``_batch``, refuses both. LeakyReLU is the exception: it is
 elementwise and takes any shape.
 
+Eval mode folds each BatchNorm into the conv before it: ``Conv1d.forward(x,
+affine=bn.eval_affine())`` scales its kernel rows and adds the shift as a
+kernel column against a row of ones, so the pair is one product.
+
 The graph convolution also takes each sample's raw amplitudes and
 applies the range-relative adjacency they define as a factored product,
 so it is the only code that touches the adjacency at run time. It is
@@ -86,8 +90,7 @@ class Conv1d(_Layer):
 
     Input (in_channels x N) maps to (out_channels x N); the node count N is
     preserved so the downstream N x N adjacency still lines up. N must be
-    at least the kernel width. There is no bias: each conv feeds a
-    BatchNorm1d, whose mean subtraction would cancel it exactly.
+    at least the kernel width.
     """
 
     PARAMS = ("kernels",)
@@ -100,35 +103,38 @@ class Conv1d(_Layer):
         )
         self.g_kernels = np.zeros_like(self.kernels)
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x, training: bool = False, affine=None) -> np.ndarray:
         x3 = _batch(x, 3, "conv1d", self.in_channels)
         b, c, n = x3.shape
         if n < KERNEL_WIDTH:
             raise ShapeError(f"conv1d: need at least {KERNEL_WIDTH} positions, got {n}")
+        kernels = self.kernels.reshape(self.out_channels, c * KERNEL_WIDTH)
+        if affine is not None:  # scaled rows, and the shift as a column against a row of ones
+            kernels = np.column_stack((kernels * affine[0][:, None], affine[1]))
         # im2col: cols[b, c, k, i] = x[b, c, i + k - 1], 0 off either end, so the layer is
-        # one (out, 3 in) @ (3 in, N) product per sample; backward pads the cached input
-        cols = np.empty((b, c, KERNEL_WIDTH, n))
+        # one (out, 3 in [+ 1]) @ (3 in [+ 1], N) product per sample; backward pads the input
+        stack = np.empty((b, kernels.shape[1], n))
+        stack[:, c * KERNEL_WIDTH :] = 1.0
+        cols = stack[:, : c * KERNEL_WIDTH].reshape(b, c, KERNEL_WIDTH, n)
         cols[:, :, 0, 0] = cols[:, :, 2, -1] = 0.0
         cols[:, :, 0, 1:] = x3[:, :, :-1]
         cols[:, :, 1, :] = x3
         cols[:, :, 2, :-1] = x3[:, :, 1:]
-        y = np.matmul(
-            self.kernels.reshape(self.out_channels, c * KERNEL_WIDTH),
-            cols.reshape(b, c * KERNEL_WIDTH, n),
-        )
         self._cache = x3
-        return y
+        return np.matmul(kernels, stack)
 
     def backward(self, grad_out) -> np.ndarray:
         xp = np.pad(self._cached(), ((0, 0), (0, 0), (1, 1)))
         g3 = _batch(grad_out, 3, "conv1d grad")
         n = xp.shape[2] - 2
-        g_xp = np.zeros_like(xp)
         for k in range(KERNEL_WIDTH):
             tap = xp[:, :, k : k + n]
             self.g_kernels[:, :, k] = np.matmul(g3, tap.transpose(0, 2, 1)).sum(axis=0)
-            g_xp[:, :, k : k + n] += np.matmul(self.kernels[:, :, k].T, g3)
-        return g_xp[:, :, 1 : n + 1]
+        # input cell i gathers tap 0 from output i + 1, tap 1 from i and tap 2 from i - 1
+        g_x = np.matmul(self.kernels[:, :, 1].T, g3)
+        g_x[:, :, :-1] += np.matmul(self.kernels[:, :, 0].T, g3)[:, :, 1:]
+        g_x[:, :, 1:] += np.matmul(self.kernels[:, :, 2].T, g3)[:, :, :-1]
+        return g_x
 
 
 class BatchNorm1d(_Layer):
@@ -139,14 +145,14 @@ class BatchNorm1d(_Layer):
 
         running <- (1 - momentum) * running + momentum * batch_stat
 
-    Eval mode applies the running statistics as one per-channel affine map
-    x * scale + shift, scale = gamma / sqrt(running_var + EPS) and shift =
-    beta - running_mean * scale, which can differ from the training form in
-    the last bit. Population (biased) variance is used both for
-    normalization and the running update so that backward, which needs a
-    training-mode forward, differentiates exactly the forward expression.
-    The statistics run over batch x positions, so training mode needs at
-    least 2 values per channel there; a batch of one profile is enough.
+    Eval mode applies the running statistics as x * scale + shift per channel
+    (``eval_affine``: scale = gamma / sqrt(running_var + EPS), shift = beta -
+    running_mean * scale), which can differ from the training form in the last
+    bit; the model folds this map into the conv before it. Both normalization
+    and the running update use the population (biased) variance, so backward,
+    which needs a training-mode forward, differentiates exactly the forward
+    expression. Training mode needs at least 2 values per channel over batch x
+    positions; a batch of one profile is enough.
     """
 
     EPS = 1e-5
@@ -166,9 +172,9 @@ class BatchNorm1d(_Layer):
     def forward(self, x, training: bool = False) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm", self.channels)
         if not training:
-            scale = self.gamma / np.sqrt(self.running_var + self.EPS)
+            scale, shift = self.eval_affine()
             y = x3 * scale[None, :, None]
-            y += (self.beta - self.running_mean * scale)[None, :, None]
+            y += shift[None, :, None]
             self._cache = ()  # nothing for backward, which refuses it
             return y
         if x3.shape[0] * x3.shape[2] < 2:
@@ -187,6 +193,11 @@ class BatchNorm1d(_Layer):
         y += self.beta[None, :, None]
         self._cache = (xhat, inv_std)
         return y
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eval-mode map's per-channel (scale, shift)."""
+        scale = self.gamma / np.sqrt(self.running_var + self.EPS)
+        return scale, self.beta - self.running_mean * scale
 
     def backward(self, grad_out) -> np.ndarray:
         if not self._cached():
@@ -404,17 +415,18 @@ class LeakyReLU(_Layer):
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._cache = x >= 0.0
+        self._cache = (x >= 0.0,) if training else ()
         # for 0 < SLOPE < 1 this equals where(x >= 0, x, SLOPE * x) bit for bit,
         # signed zeros, NaN and infinities included
         y = self.SLOPE * x
         return np.maximum(x, y, out=y)
 
     def backward(self, grad_out) -> np.ndarray:
-        mask = self._cached()
-        g = np.asarray(grad_out, dtype=np.float64)
-        # where(mask, g, SLOPE * g) bit for bit (1.0 * g is g), in one buffer
-        out = np.where(mask, 1.0, self.SLOPE)
-        out *= g
+        if not self._cached():
+            raise UsageError("leaky_relu: backward needs a training-mode forward")
+        # where(mask, g, SLOPE * g) bit for bit: (1 - SLOPE) + SLOPE rounds to exactly 1.0
+        out = self._cache[0].astype(np.float64)
+        out *= 1.0 - self.SLOPE
+        out += self.SLOPE
+        out *= np.asarray(grad_out, dtype=np.float64)
         return out
-

@@ -153,9 +153,10 @@ class GraphClassifier:
         because BatchNorm needs its batch statistics, and keeps the logits
         for ``backward``. Eval mode is exact per sample, so it runs the rows
         ``_EVAL_BLOCK`` at a time: each row gets what its block alone would
-        give. The layer caches then hold only the last block, so
-        ``backward`` is refused until the next training-mode call.
-        The readout's ``alpha`` after an eval pass covers the last block only.
+        give, and each BatchNorm runs folded into the conv before it. The
+        layer caches then hold only the last block, so ``backward`` is
+        refused until the next training-mode call. The readout's ``alpha``
+        after an eval pass covers the last block only.
         """
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 2:
@@ -177,11 +178,13 @@ class GraphClassifier:
     def _run_chain(self, amps: np.ndarray, training: bool) -> np.ndarray:
         """Logits of the enabled layers for a checked (batch, n_cells) stack."""
         x = amps[:, None, :]
-        for name, layer in self.chain:
+        for i, (name, layer) in enumerate(self.chain):
             if name == "gconv":  # the amplitudes define the graph conv's adjacency
                 x = layer.forward(x, amps, training)
-            else:
+            elif training or not isinstance(layer, (Conv1d, BatchNorm1d)):
                 x = layer.forward(x, training)
+            elif isinstance(layer, Conv1d):  # eval: the BatchNorm after it runs inside it
+                x = layer.forward(x, affine=self.chain[i + 1][1].eval_affine())
         return x
 
     def backward(self, labels: np.ndarray) -> None:

@@ -107,6 +107,20 @@ def test_batchnorm_eval_matches_oracle_at_the_shipped_shape(rng):
         bn.backward(np.ones_like(out))
 
 
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("in_channels", [1, 16])
+def test_conv1d_folds_an_affine_map_into_its_product(in_channels, n, rng):
+    """forward(x, affine=(s, b)) is s * conv(x) + b per output channel, and x is unchanged."""
+    conv = Conv1d(in_channels, 16, rng)
+    scale, shift = rng.uniform(-2.0, 2.0, size=16), rng.uniform(-2.0, 2.0, size=16)
+    x = rng.normal(size=(5, in_channels, n))
+    before = x.copy()
+    got = conv.forward(x, affine=(scale, shift))
+    np.testing.assert_array_equal(x, before)
+    want = scale[:, None] * conv.forward(x) + shift[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_batchnorm_backward_needs_training_forward():
     bn = BatchNorm1d(1)
     bn.forward(np.ones((2, 1, 3)), training=False)
@@ -326,10 +340,18 @@ def test_dense_worked_example(rng):
 def test_leaky_relu_layer_roundtrip(rng):
     act = LeakyReLU()
     x = rng.normal(size=(3, 4))
-    out = act.forward(x)
+    out = act.forward(x, training=True)
     np.testing.assert_array_equal(out, np.where(x >= 0, x, LeakyReLU.SLOPE * x))
     g = rng.normal(size=x.shape)
     np.testing.assert_array_equal(act.backward(g), np.where(x >= 0, g, LeakyReLU.SLOPE * g))
+
+
+def test_leaky_relu_backward_needs_training_forward(rng):
+    act = LeakyReLU()
+    act.forward(rng.normal(size=(2, 3)), training=True)
+    act.forward(rng.normal(size=(2, 3)))  # eval mode keeps no mask
+    with pytest.raises(UsageError, match="^leaky_relu: backward needs a training-mode forward$"):
+        act.backward(np.ones((2, 3)))
 
 
 def test_leaky_relu_values():
@@ -341,7 +363,7 @@ def test_leaky_relu_edge_values():
     """Signed zeros, NaN and infinities follow the where(x >= 0, x, SLOPE * x) definition."""
     x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 3.0])
     act = LeakyReLU()
-    out = act.forward(x)
+    out = act.forward(x, training=True)
     assert out.tobytes() == np.where(x >= 0, x, LeakyReLU.SLOPE * x).tobytes()
     assert np.signbit(out[0]) and not np.signbit(out[1])
     assert np.isnan(out[2])

@@ -164,6 +164,45 @@ def test_eval_forward_runs_in_blocks_of_32(flags, rows):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("flags", ["a", "ab", "ac", "abc"])
+def test_eval_folds_batchnorm_at_the_shipped_widths(flags):
+    """d_out 16 and g_out 32, with BN tensors far from their start: the eval forward, which
+    folds each BatchNorm into its conv, matches the oracle, which runs each on its own."""
+    from oracle_reference import reference_log_probs
+
+    model = GraphClassifier(ModelConfig(n_cells=40, n_classes=3, ablation=flags))
+    rng = np.random.default_rng(5)
+    for name, arr in sorted(model.state_arrays().items()):
+        if name.startswith("bn"):
+            low, high = (0.5, 1.5) if name.endswith("running_var") else (-2.0, 2.0)
+            arr[...] = rng.uniform(low, high, size=arr.shape)
+        elif name in ("gconv.bias", "fc.b"):
+            arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
+    amps = np.abs(rng.normal(size=(4, 40)))
+    got = model.forward_batch(amps)
+    state = {name: arr.tolist() for name, arr in model.state_arrays().items()}
+    want = [reference_log_probs(state, row.tolist(), LeakyReLU.SLOPE, BatchNorm1d.EPS, flags)
+            for row in amps]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+
+def test_only_training_mode_runs_batchnorm(rng, monkeypatch):
+    """Eval mode folds each BatchNorm into the conv before it; training runs each once."""
+    calls = []
+    forward = BatchNorm1d.forward
+
+    def counted(self, x, training=False):
+        calls.append(self)
+        return forward(self, x, training)
+
+    monkeypatch.setattr(BatchNorm1d, "forward", counted)
+    model = GraphClassifier(small_config())
+    model.forward_batch(rng.uniform(size=(70, 12)))
+    assert calls == []
+    model.forward_batch(rng.uniform(size=(70, 12)), training=True)
+    assert calls == [model.bn1, model.bn2]
+
+
 def test_block_sizes_by_mode(rng, monkeypatch):
     """Eval mode feeds the chain 32 rows at a time; training mode the whole batch at once."""
     model = GraphClassifier(small_config())
