@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_seed
 from .errors import NumericError, ShapeError
 from .layers import (
     AttentionPool,
@@ -38,7 +39,8 @@ def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
 
     ``f`` is a zero-argument callable returning a scalar that depends on
     ``theta``; the array is perturbed in place by ``STEP`` one coordinate at
-    a time and restored afterwards. The per-coordinate error is
+    a time and restored afterwards. A non-finite analytic coordinate or
+    objective raises ``NumericError``. The per-coordinate error is
 
         |analytic - numeric| / max(1, |analytic|, |numeric|)
     """
@@ -56,10 +58,11 @@ def finite_diff_check(f, theta: np.ndarray, analytic_grad: np.ndarray) -> float:
         theta[idx] = original - STEP
         f_minus = float(f())
         theta[idx] = original
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"finite_diff_check: non-finite objective at index {idx}")
-        numeric = (f_plus - f_minus) / (2.0 * STEP)
         a = float(analytic[idx])
+        if not np.isfinite([a, f_plus, f_minus]).all():  # its error would be NaN, never kept
+            raise NumericError(f"finite_diff_check: non-finite value at index {idx} (analytic "
+                               f"{a}, objective {f_plus} and {f_minus})")
+        numeric = (f_plus - f_minus) / (2.0 * STEP)
         err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
         if err > worst:
             worst = err
@@ -75,11 +78,11 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
     """
     rng = np.random.default_rng(seed)
     args = (x,) if extra is None else (x, extra)
-    out = layer.forward(*args, training=True)
+    out = layer.forward(*args)
     r = rng.standard_normal(out.shape)
 
     def f():
-        return float(np.sum(layer.forward(*args, training=True) * r))
+        return float(np.sum(layer.forward(*args) * r))
 
     g_in = layer.backward(r)
     results = {}
@@ -91,6 +94,7 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
 
 def layer_suite(seed: int = 0) -> dict:
     """Run every layer type once on small random shapes."""
+    check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     batch, n = BATCH_SIZE, 9
     results = {}
@@ -135,7 +139,7 @@ def _rectifier_margin(model: GraphClassifier, amps: np.ndarray) -> float:
             margins.append(np.min(np.abs(x)))
             if name == "act2":
                 break
-        x = layer.forward(x, training=True)
+        x = layer.forward(x)
     return float(min(margins))
 
 

@@ -9,8 +9,8 @@ the next operation cancels (Conv1d's before BatchNorm, an attention score
 before the softmax) is left out. ``PARAMS`` names the parameter arrays in
 checkpoint order, and the gradient slot of parameter ``p`` is the
 same-shaped array ``g_p``. ``forward`` computes the layer function and
-caches whatever the analytic ``backward`` needs, the input itself by
-reference in some layers, so an input must not change between the two;
+caches whatever the analytic ``backward`` needs, the input or the output
+itself by reference in some layers, so neither may change between the two;
 ``backward`` takes the upstream gradient, overwrites every gradient slot
 in place (optimizers hold references to them) and returns the gradient
 with respect to the layer input. Gradients are hand-derived from the
@@ -24,9 +24,9 @@ an input whose axis 1 (channels or features) is not the layer's width:
 one check, ``_batch``, refuses both. LeakyReLU is the exception: it is
 elementwise and takes any shape.
 
-Eval mode folds each BatchNorm into the conv before it: ``Conv1d.forward(x,
-affine=bn.eval_affine())`` scales its kernel rows and adds the shift as a
-kernel column against a row of ones, so the pair is one product.
+Layers take no train/eval mode. In eval mode the model folds each BatchNorm
+into the conv before it: ``Conv1d.forward(x, affine=bn.eval_affine())``
+scales its kernel rows and adds the shift as a column against a row of ones.
 
 The graph convolution also takes each sample's raw amplitudes and
 applies the range-relative adjacency they define as a factored product,
@@ -103,7 +103,7 @@ class Conv1d(_Layer):
         )
         self.g_kernels = np.zeros_like(self.kernels)
 
-    def forward(self, x, training: bool = False, affine=None) -> np.ndarray:
+    def forward(self, x, affine=None) -> np.ndarray:
         x3 = _batch(x, 3, "conv1d", self.in_channels)
         b, c, n = x3.shape
         if n < KERNEL_WIDTH:
@@ -140,19 +140,19 @@ class Conv1d(_Layer):
 class BatchNorm1d(_Layer):
     """Per-channel batch normalization over the (batch x positions) axes.
 
-    Training mode standardizes with the batch's population statistics and
-    folds them into the running estimates:
+    ``forward`` standardizes with the batch's population statistics and folds
+    them into the running estimates:
 
         running <- (1 - momentum) * running + momentum * batch_stat
 
-    Eval mode applies the running statistics as x * scale + shift per channel
-    (``eval_affine``: scale = gamma / sqrt(running_var + EPS), shift = beta -
-    running_mean * scale), which can differ from the training form in the last
-    bit; the model folds this map into the conv before it. Both normalization
-    and the running update use the population (biased) variance, so backward,
-    which needs a training-mode forward, differentiates exactly the forward
-    expression. Training mode needs at least 2 values per channel over batch x
-    positions; a batch of one profile is enough.
+    The eval-mode map applies the running statistics as x * scale + shift per
+    channel (``eval_affine``: scale = gamma / sqrt(running_var + EPS), shift =
+    beta - running_mean * scale), which can differ from the training form in
+    the last bit; the model applies it only folded into the conv before it.
+    Both normalization and the running update use the population (biased)
+    variance, so backward differentiates exactly the forward expression.
+    ``forward`` needs at least 2 values per channel over batch x positions; a
+    batch of one profile is enough.
     """
 
     EPS = 1e-5
@@ -169,14 +169,8 @@ class BatchNorm1d(_Layer):
         self.g_gamma = np.zeros_like(self.gamma)
         self.g_beta = np.zeros_like(self.beta)
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm", self.channels)
-        if not training:
-            scale, shift = self.eval_affine()
-            y = x3 * scale[None, :, None]
-            y += shift[None, :, None]
-            self._cache = ()  # nothing for backward, which refuses it
-            return y
         if x3.shape[0] * x3.shape[2] < 2:
             raise ConfigError("batchnorm training mode needs at least 2 values per channel "
                               f"over batch x cells, got {x3.shape[0]} x {x3.shape[2]}")
@@ -200,9 +194,7 @@ class BatchNorm1d(_Layer):
         return scale, self.beta - self.running_mean * scale
 
     def backward(self, grad_out) -> np.ndarray:
-        if not self._cached():
-            raise UsageError("batchnorm: backward needs a training-mode forward")
-        xhat, inv_std = self._cache
+        xhat, inv_std = self._cached()
         g3 = _batch(grad_out, 3, "batchnorm grad")
         g_xhat = g3 * xhat
         self.g_gamma[...] = g_xhat.sum(axis=(0, 2))
@@ -271,7 +263,7 @@ class GraphConv(_Layer):
         out *= h
         return out
 
-    def forward(self, nodes, amplitudes, training: bool = False) -> np.ndarray:
+    def forward(self, nodes, amplitudes) -> np.ndarray:
         x3 = _batch(nodes, 3, "graphconv nodes", self.in_dim)
         if x3.shape[2] != self.n_nodes:
             raise ShapeError(
@@ -351,7 +343,7 @@ class AttentionPool(_Layer):
         self.w = uniform_init(rng, feature_dim, feature_dim)
         self.g_w = np.zeros_like(self.w)
 
-    def forward(self, nodes, training: bool = False) -> np.ndarray:
+    def forward(self, nodes) -> np.ndarray:
         x3 = _batch(nodes, 3, "attention", self.feature_dim)
         alpha = softmax(self.w @ x3, axis=1)
         pooled = np.matmul(x3, alpha[:, :, None])[:, :, 0]
@@ -372,7 +364,7 @@ class AttentionPool(_Layer):
 class MeanPool(_Layer):
     """Uniform-weight pooling over node columns; the attention-off stand-in."""
 
-    def forward(self, nodes, training: bool = False) -> np.ndarray:
+    def forward(self, nodes) -> np.ndarray:
         x3 = _batch(nodes, 3, "meanpool")
         self._cache = x3.shape
         return x3.mean(axis=2)
@@ -395,7 +387,7 @@ class Dense(_Layer):
         self.g_w = np.zeros_like(self.w)
         self.g_b = np.zeros_like(self.b)
 
-    def forward(self, v, training: bool = False) -> np.ndarray:
+    def forward(self, v) -> np.ndarray:
         v2 = _batch(v, 2, "dense", self.in_dim)
         self._cache = v2
         return v2 @ self.w.T + self.b[None, :]
@@ -409,23 +401,25 @@ class Dense(_Layer):
 
 
 class LeakyReLU(_Layer):
-    """Elementwise leaky rectifier; the derivative at exactly 0 is taken as 1."""
+    """Elementwise leaky rectifier; the derivative at exactly 0 is taken as 1.
+
+    ``backward`` takes the slope from the cached output: y >= 0, which is x >= 0
+    but for negative x above about -2.5e-322, where SLOPE * x rounds to -0.0.
+    """
 
     SLOPE = 0.01
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._cache = (x >= 0.0,) if training else ()
         # for 0 < SLOPE < 1 this equals where(x >= 0, x, SLOPE * x) bit for bit,
         # signed zeros, NaN and infinities included
         y = self.SLOPE * x
-        return np.maximum(x, y, out=y)
+        self._cache = np.maximum(x, y, out=y)
+        return y
 
     def backward(self, grad_out) -> np.ndarray:
-        if not self._cached():
-            raise UsageError("leaky_relu: backward needs a training-mode forward")
-        # where(mask, g, SLOPE * g) bit for bit: (1 - SLOPE) + SLOPE rounds to exactly 1.0
-        out = self._cache[0].astype(np.float64)
+        # where(y >= 0, g, SLOPE * g) bit for bit: (1 - SLOPE) + SLOPE rounds to exactly 1.0
+        out = (self._cached() >= 0.0).astype(np.float64)
         out *= 1.0 - self.SLOPE
         out += self.SLOPE
         out *= np.asarray(grad_out, dtype=np.float64)

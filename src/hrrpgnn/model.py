@@ -149,14 +149,15 @@ class GraphClassifier:
     def forward_batch(self, amplitudes: np.ndarray, training: bool = False) -> np.ndarray:
         """Log class probabilities for a (batch x n_cells) amplitude stack.
 
-        Training mode runs the whole batch through the chain in one pass,
-        because BatchNorm needs its batch statistics, and keeps the logits
-        for ``backward``. Eval mode is exact per sample, so it runs the rows
-        ``_EVAL_BLOCK`` at a time: each row gets what its block alone would
-        give, and each BatchNorm runs folded into the conv before it. The
-        layer caches then hold only the last block, so ``backward`` is
-        refused until the next training-mode call. The readout's ``alpha``
-        after an eval pass covers the last block only.
+        The mode is decided here; layers take none. Training mode runs the
+        whole batch through the chain in one pass, because BatchNorm needs
+        its batch statistics, and keeps the logits for ``backward``. Eval
+        mode is exact per sample, so it runs the rows ``_EVAL_BLOCK`` at a
+        time: each row gets what its block alone would give, and each
+        BatchNorm runs only as its ``eval_affine()``, folded into the conv
+        before it. The layer caches then hold only the last block, so
+        ``backward`` is refused until the next training-mode call. The
+        readout's ``alpha`` after an eval pass covers the last block only.
         """
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 2:
@@ -180,9 +181,9 @@ class GraphClassifier:
         x = amps[:, None, :]
         for i, (name, layer) in enumerate(self.chain):
             if name == "gconv":  # the amplitudes define the graph conv's adjacency
-                x = layer.forward(x, amps, training)
+                x = layer.forward(x, amps)
             elif training or not isinstance(layer, (Conv1d, BatchNorm1d)):
-                x = layer.forward(x, training)
+                x = layer.forward(x)
             elif isinstance(layer, Conv1d):  # eval: the BatchNorm after it runs inside it
                 x = layer.forward(x, affine=self.chain[i + 1][1].eval_affine())
         return x

@@ -138,6 +138,25 @@ def test_gradcheck_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
+    """A backward that writes NaN fails the check with one line and exit 4."""
+    backward = hrrpgnn.layers.Dense.backward
+
+    def nan_backward(self, grad_out):
+        g_x = backward(self, grad_out)
+        self.g_w[...] = np.nan
+        return g_x
+
+    monkeypatch.setattr(hrrpgnn.layers.Dense, "backward", nan_backward)
+    capsys.readouterr()
+    rc = run("gradcheck", "--layer", "dense")
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(
+        "error: finite_diff_check: non-finite value at index (0, 0) (analytic nan,"), err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "-inf", "-NaN", "-Infinity"])
 def test_gradcheck_tolerance_must_be_finite_and_positive(tol, capsys):
     # a NaN tolerance would pass every check, a zero or negative one fail every check;
@@ -578,6 +597,7 @@ BAD_NUMBERS = {
     "train-shuffle-seed": (["train", "--data", "{gen}", "--out", "{out}", *_TINY,
                             "--shuffle-seed", "-1"], "shuffle_seed"),
     "gen-data-seed": ([*_GEN, "--seed", "-1"], "seed"),
+    "gradcheck-seed": (["gradcheck", "--seed", "-1"], "seed"),
     "train-lr-nan": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--lr", "nan"],
                      "learning_rate"),
     "train-lr-inf": (["train", "--data", "{gen}", "--out", "{out}", *_TINY, "--lr", "inf"],

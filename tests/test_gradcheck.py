@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from oracle_reference import conv1d as oracle_conv1d
 
 import hrrpgnn.gradcheck
+from hrrpgnn.errors import NumericError
 from hrrpgnn.gradcheck import (
     LAYER_NAMES,
     STEP,
     check_all_ablations,
     check_layer,
     check_model,
+    finite_diff_check,
     layer_suite,
     worst_error,
 )
@@ -106,6 +109,18 @@ def test_check_all_ablations_keys():
     assert set(results["bc"]) == {"gconv.w1", "gconv.w2", "gconv.bias", "gconv.score", "fc.w",
                                   "fc.b"}
     assert worst_error(results) < TOL
+
+
+@pytest.mark.parametrize("analytic, named", [
+    ([1.0, np.nan, 1.0], "at index (1,) (analytic nan,"),
+    ([1.0, 1.0, np.inf], "at index (2,) (analytic inf,"),
+    ([np.nan, np.nan, np.nan], "at index (0,) (analytic nan,"),
+], ids=["nan-coordinate", "inf-coordinate", "all-nan"])
+def test_finite_diff_check_fails_a_non_finite_analytic_gradient(analytic, named):
+    """A NaN or infinite coordinate would score a NaN error, which no comparison keeps."""
+    theta = np.zeros(3)
+    with pytest.raises(NumericError, match=re.escape(f"non-finite value {named}")):
+        finite_diff_check(lambda: float(theta.sum()), theta, np.array(analytic))
 
 
 def test_worst_error_nested():

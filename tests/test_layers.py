@@ -52,7 +52,7 @@ def test_conv_channel_mismatch(rng):
 def test_batchnorm_worked_example():
     # batch values 1 and 3: mean 2, population variance 1
     bn = BatchNorm1d(1)
-    out = bn.forward(np.array([[[1.0]], [[3.0]]]), training=True)
+    out = bn.forward(np.array([[[1.0]], [[3.0]]]))
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out.ravel(), [-expected, expected], atol=1e-12)
     assert abs(out.ravel()[1] - 0.99999) < 1e-4
@@ -60,13 +60,13 @@ def test_batchnorm_worked_example():
 
 def test_batchnorm_running_stats_update():
     bn = BatchNorm1d(1)
-    bn.forward(np.array([[[1.0]], [[3.0]]]), training=True)
+    bn.forward(np.array([[[1.0]], [[3.0]]]))
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
     # a second step from non-trivial statistics: batch mean 4, variance 9
     bn.running_mean[...] = 0.5
     bn.running_var[...] = 2.0
-    bn.forward(np.array([[[1.0]], [[7.0]]]), training=True)
+    bn.forward(np.array([[[1.0]], [[7.0]]]))
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.5 + 0.1 * 4.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 2.0 + 0.1 * 9.0])
 
@@ -77,15 +77,21 @@ def test_batchnorm_batch_variance_is_ndarray_var(shape, rng):
     x = rng.normal(3.0, 2.0, size=shape)
     bn = BatchNorm1d(shape[1])
     bn.running_var[...] = 0.0
-    bn.forward(x, training=True)
+    bn.forward(x)
     np.testing.assert_array_equal(bn.running_var, BatchNorm1d.MOMENTUM * x.var(axis=(0, 2)))
+
+
+def _eval_map(bn, x):
+    """BatchNorm's eval-mode map, x * scale + shift per channel, from ``eval_affine``."""
+    scale, shift = bn.eval_affine()
+    return x * scale[None, :, None] + shift[None, :, None]
 
 
 def test_batchnorm_eval_uses_running_stats():
     bn = BatchNorm1d(1)
     bn.running_mean[...] = 5.0
     bn.running_var[...] = 4.0
-    out = bn.forward(np.array([[[7.0]]]), training=False)
+    out = _eval_map(bn, np.array([[[7.0]]]))
     np.testing.assert_allclose(out, [[[2.0 / math.sqrt(4.0 + 1e-5)]]], atol=1e-12)
 
 
@@ -96,14 +102,13 @@ def test_batchnorm_eval_matches_oracle_at_the_shipped_shape(rng):
                            (bn.running_mean, -2.0, 2.0), (bn.running_var, 0.5, 1.5)):
         arr[...] = rng.uniform(low, high, size=16)
     x = rng.normal(size=(32, 16, 501))
-    before = x.copy()
-    out = bn.forward(x, training=False)
-    np.testing.assert_array_equal(x, before)
+    out = _eval_map(bn, x)
     args = [a.tolist() for a in (bn.gamma, bn.beta, bn.running_mean, bn.running_var)]
     for b in range(32):
         expected = batchnorm_eval(x[b].tolist(), *args, BatchNorm1d.EPS)
         np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
-    with pytest.raises(UsageError, match="training-mode forward"):
+    # the eval map leaves nothing for backward
+    with pytest.raises(UsageError, match="forward has not run yet"):
         bn.backward(np.ones_like(out))
 
 
@@ -121,25 +126,18 @@ def test_conv1d_folds_an_affine_map_into_its_product(in_channels, n, rng):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_batchnorm_backward_needs_training_forward():
-    bn = BatchNorm1d(1)
-    bn.forward(np.ones((2, 1, 3)), training=False)
-    with pytest.raises(UsageError, match="training-mode forward"):
-        bn.backward(np.ones((2, 1, 3)))
-
-
 def test_batchnorm_training_rejects_single_sample():
     """One sample of one cell leaves a single value per channel, and no batch variance."""
     bn = BatchNorm1d(3)
     with pytest.raises(ConfigError, match="at least 2 values per channel"):
-        bn.forward(np.ones((1, 3, 1)), training=True)
+        bn.forward(np.ones((1, 3, 1)))
 
 
 def test_batchnorm_single_sample_standardizes_over_its_cells(rng):
     """A batch of one profile is legal: each channel is standardized over its N cells."""
     x = rng.normal(3.0, 2.0, size=(1, 4, 9))
     bn = BatchNorm1d(4)
-    out = bn.forward(x, training=True)
+    out = bn.forward(x)
     mean = x.mean(axis=2, keepdims=True)
     var = x.var(axis=2, keepdims=True)
     np.testing.assert_allclose(out, (x - mean) / np.sqrt(var + BatchNorm1d.EPS), atol=1e-12)
@@ -254,7 +252,7 @@ def test_graphconv_never_rebuilds_reciprocal_distance(rng, monkeypatch):
         raise AssertionError("reciprocal_distance called after construction")
 
     monkeypatch.setattr(hrrpgnn.layers, "reciprocal_distance", rebuilt)
-    out = gc.forward(rng.normal(size=(2, 2, 6)), rng.uniform(0.5, 1.5, size=(2, 6)), training=True)
+    out = gc.forward(rng.normal(size=(2, 2, 6)), rng.uniform(0.5, 1.5, size=(2, 6)))
     gc.backward(rng.normal(size=out.shape))
 
 
@@ -275,7 +273,7 @@ def test_graphconv_products_with_r_run_on_one_row_per_sample(rng):
         gc = GraphConv(3, 4, 7, rng, attention=attention)
         gc.recip = gc.recip.view(_CountedRows)
         gc.recip.rows = []
-        out = gc.forward(rng.normal(size=(5, 3, 7)), rng.uniform(0.5, 1.5, size=(5, 7)), True)
+        out = gc.forward(rng.normal(size=(5, 3, 7)), rng.uniform(0.5, 1.5, size=(5, 7)))
         assert gc.recip.rows == [(5,)] * forward_rows
         gc.backward(rng.normal(size=out.shape))
         assert gc.recip.rows == [(5,)] * (forward_rows + backward_rows)
@@ -340,18 +338,10 @@ def test_dense_worked_example(rng):
 def test_leaky_relu_layer_roundtrip(rng):
     act = LeakyReLU()
     x = rng.normal(size=(3, 4))
-    out = act.forward(x, training=True)
+    out = act.forward(x)
     np.testing.assert_array_equal(out, np.where(x >= 0, x, LeakyReLU.SLOPE * x))
     g = rng.normal(size=x.shape)
     np.testing.assert_array_equal(act.backward(g), np.where(x >= 0, g, LeakyReLU.SLOPE * g))
-
-
-def test_leaky_relu_backward_needs_training_forward(rng):
-    act = LeakyReLU()
-    act.forward(rng.normal(size=(2, 3)), training=True)
-    act.forward(rng.normal(size=(2, 3)))  # eval mode keeps no mask
-    with pytest.raises(UsageError, match="^leaky_relu: backward needs a training-mode forward$"):
-        act.backward(np.ones((2, 3)))
 
 
 def test_leaky_relu_values():
@@ -363,13 +353,18 @@ def test_leaky_relu_edge_values():
     """Signed zeros, NaN and infinities follow the where(x >= 0, x, SLOPE * x) definition."""
     x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.0, 3.0])
     act = LeakyReLU()
-    out = act.forward(x, training=True)
+    out = act.forward(x)
     assert out.tobytes() == np.where(x >= 0, x, LeakyReLU.SLOPE * x).tobytes()
     assert np.signbit(out[0]) and not np.signbit(out[1])
     assert np.isnan(out[2])
     assert out[3] == np.inf and out[4] == -np.inf
     g = np.array([1.0, -1.0, 2.0, -0.5, 0.5, -0.0, np.nan])
     assert act.backward(g).tobytes() == np.where(x >= 0, g, LeakyReLU.SLOPE * g).tobytes()
+    # SLOPE * -1e-323 rounds to -0.0, so the output is -0.0 and, the slope being read
+    # from the output, the backward passes g through
+    tiny = act.forward(np.array([-1e-323]))
+    assert tiny[0] == 0.0 and np.signbit(tiny[0])
+    assert act.backward(np.array([-0.5])).tobytes() == np.array([-0.5]).tobytes()
 
 
 # ---- batching, caching, gradient slots ----------------------------------------
@@ -427,7 +422,7 @@ def test_gradient_slots_are_filled_in_place(rng):
     x = rng.normal(size=(4, 2, 5))
     layers["conv"].forward(x)
     layers["conv"].backward(rng.normal(size=(4, 3, 5)))
-    layers["bn"].forward(x, training=True)
+    layers["bn"].forward(x)
     layers["bn"].backward(rng.normal(size=x.shape))
     layers["gconv"].forward(x, rng.uniform(0.5, 1.5, size=(4, 5)))
     layers["gconv"].backward(rng.normal(size=(4, 3)))

@@ -191,9 +191,9 @@ def test_only_training_mode_runs_batchnorm(rng, monkeypatch):
     calls = []
     forward = BatchNorm1d.forward
 
-    def counted(self, x, training=False):
+    def counted(self, x):
         calls.append(self)
-        return forward(self, x, training)
+        return forward(self, x)
 
     monkeypatch.setattr(BatchNorm1d, "forward", counted)
     model = GraphClassifier(small_config())
@@ -209,9 +209,9 @@ def test_block_sizes_by_mode(rng, monkeypatch):
     seen = []
     forward = model.fc.forward
 
-    def spy(v, training=False):
+    def spy(v):
         seen.append(len(v))
-        return forward(v, training)
+        return forward(v)
 
     monkeypatch.setattr(model.fc, "forward", spy)
     model.forward_batch(rng.uniform(size=(70, 12)))
@@ -237,10 +237,9 @@ def test_attention_weights_are_the_last_forwards(flags, rng):
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(5), atol=1e-12)
         if "b" in flags:
             # the pooled vector the head saw is Y alpha, with Y the dense graph-conv output
-            x = amps[:, None, :]
-            for _, layer in model.chain[:-2]:
-                x = layer.forward(x, training)
+            # of the nodes this pass gave the graph conv
             gc = model.gconv
+            x = gc._cache[0]
             y = gc.w1 @ x + gc.w2 @ (x @ np.stack([build_adjacency(a) for a in amps])) + gc.bias
             np.testing.assert_allclose(alpha, softmax(gc.score @ y, axis=1), atol=1e-12)
             pooled = (y @ alpha[:, :, None])[:, :, 0]
