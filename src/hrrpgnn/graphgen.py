@@ -11,9 +11,10 @@ finite. E is h h^T scaled elementwise by the reciprocal distances R below;
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def reciprocal_distance(n_cells: int) -> np.ndarray:
-    """The N x N matrix R of 1 / (|i - j| + 1) factors (index-unit distances)."""
-    idx = np.arange(n_cells, dtype=np.float64)
-    return 1.0 / (np.abs(idx[:, None] - idx[None, :]) + 1.0)
+    """The N x N Toeplitz matrix R of 1 / (|i - j| + 1), copied once from windows of a vector."""
+    r = 1.0 / (np.arange(n_cells) + 1.0)
+    return sliding_window_view(np.concatenate((r[:0:-1], r)), n_cells)[::-1].copy()

@@ -124,16 +124,25 @@ class Conv1d(_Layer):
         return np.matmul(kernels, stack)
 
     def backward(self, grad_out) -> np.ndarray:
-        xp = np.pad(self._cached(), ((0, 0), (0, 0), (1, 1)))
+        x3 = self._cached()
         g3 = _batch(grad_out, 3, "conv1d grad")
-        n = xp.shape[2] - 2
+        b, c, n = x3.shape
+        xp = np.empty((b, c, n + 2))
+        xp[:, :, 0] = xp[:, :, -1] = 0.0
+        xp[:, :, 1:-1] = x3
         for k in range(KERNEL_WIDTH):
             tap = xp[:, :, k : k + n]
             self.g_kernels[:, :, k] = np.matmul(g3, tap.transpose(0, 2, 1)).sum(axis=0)
-        # input cell i gathers tap 0 from output i + 1, tap 1 from i and tap 2 from i - 1
+        # input cell i gathers tap 0 from output i + 1, tap 1 from i and tap 2 from i - 1, added
+        # along flat rows; the -0.0 added across a channel boundary changes no bit, sign included
         g_x = np.matmul(self.kernels[:, :, 1].T, g3)
-        g_x[:, :, :-1] += np.matmul(self.kernels[:, :, 0].T, g3)[:, :, 1:]
-        g_x[:, :, 1:] += np.matmul(self.kernels[:, :, 2].T, g3)[:, :, :-1]
+        flat = g_x.reshape(b, c * n)
+        prod = np.matmul(self.kernels[:, :, 0].T, g3)
+        prod[:, :, 0] = -0.0
+        flat[:, :-1] += prod.reshape(b, c * n)[:, 1:]
+        np.matmul(self.kernels[:, :, 2].T, g3, out=prod)
+        prod[:, :, -1] = -0.0
+        flat[:, 1:] += prod.reshape(b, c * n)[:, :-1]
         return g_x
 
 
@@ -152,7 +161,8 @@ class BatchNorm1d(_Layer):
     Both normalization and the running update use the population (biased)
     variance, so backward differentiates exactly the forward expression.
     ``forward`` needs at least 2 values per channel over batch x positions; a
-    batch of one profile is enough.
+    batch of one profile is enough. Both passes apply each per-channel vector v
+    along flat (batch, channels * positions) rows, as ``np.repeat(v, positions)``.
     """
 
     EPS = 1e-5
@@ -171,22 +181,23 @@ class BatchNorm1d(_Layer):
 
     def forward(self, x) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm", self.channels)
-        if x3.shape[0] * x3.shape[2] < 2:
+        b, c, n = x3.shape
+        if b * n < 2:
             raise ConfigError("batchnorm training mode needs at least 2 values per channel "
-                              f"over batch x cells, got {x3.shape[0]} x {x3.shape[2]}")
+                              f"over batch x cells, got {b} x {n}")
         mean = x3.mean(axis=(0, 2))
-        xhat = x3 - mean[None, :, None]
+        xhat = x3.reshape(b, c * n) - np.repeat(mean, n)
         # ndarray.var's own expression, so the square's buffer can hold the output
         y = xhat * xhat
-        var = y.sum(axis=(0, 2)) / (x3.shape[0] * x3.shape[2])
+        var = y.reshape(b, c, n).sum(axis=(0, 2)) / (b * n)
         self.running_mean[...] = (1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean
         self.running_var[...] = (1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= inv_std[None, :, None]
-        np.multiply(self.gamma[None, :, None], xhat, out=y)
-        y += self.beta[None, :, None]
-        self._cache = (xhat, inv_std)
-        return y
+        xhat *= np.repeat(inv_std, n)
+        np.multiply(np.repeat(self.gamma, n), xhat, out=y)
+        y += np.repeat(self.beta, n)
+        self._cache = (xhat.reshape(b, c, n), inv_std)
+        return y.reshape(b, c, n)
 
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """The eval-mode map's per-channel (scale, shift)."""
@@ -196,16 +207,18 @@ class BatchNorm1d(_Layer):
     def backward(self, grad_out) -> np.ndarray:
         xhat, inv_std = self._cached()
         g3 = _batch(grad_out, 3, "batchnorm grad")
+        b, c, n = xhat.shape
         g_xhat = g3 * xhat
         self.g_gamma[...] = g_xhat.sum(axis=(0, 2))
         self.g_beta[...] = g3.sum(axis=(0, 2))
-        m = xhat.shape[0] * xhat.shape[2]
+        m = b * n
         # (gamma inv_std / m) * (m g - sum g - xhat * sum(g xhat)), evaluated in place
-        g_x = m * g3
-        g_x -= self.g_beta[None, :, None]
-        g_x -= np.multiply(xhat, self.g_gamma[None, :, None], out=g_xhat)
-        g_x *= (self.gamma * inv_std)[None, :, None] / m
-        return g_x
+        g_x = m * g3.reshape(b, c * n)
+        g_x -= np.repeat(self.g_beta, n)
+        g_x -= np.multiply(xhat.reshape(b, c * n), np.repeat(self.g_gamma, n),
+                           out=g_xhat.reshape(b, c * n))
+        g_x *= np.repeat(self.gamma * inv_std / m, n)
+        return g_x.reshape(b, c, n)
 
 
 class GraphConv(_Layer):

@@ -280,12 +280,13 @@ def format_confusion(metrics: Metrics) -> str:
     names = metrics.class_names
     width = max(len(n) for n in names + ["true\\pred"])
     cell = max(6, max(len(str(int(v))) for v in metrics.confusion.ravel()))
-    head = "true\\pred".ljust(width) + "".join(n.rjust(cell + 2) for n in names)
+    cols = [max(cell, len(n)) + 2 for n in names]
+    head = "true\\pred".ljust(width) + "".join(n.rjust(w) for n, w in zip(names, cols))
     rows = [head]
     for i, name in enumerate(names):
         rows.append(
             name.ljust(width)
-            + "".join(str(int(v)).rjust(cell + 2) for v in metrics.confusion[i])
+            + "".join(str(int(v)).rjust(w) for v, w in zip(metrics.confusion[i], cols))
         )
     return "\n".join(rows)
 

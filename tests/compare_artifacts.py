@@ -6,8 +6,11 @@ Checks out <rev> with ``git worktree`` into a temporary directory, then runs
 the same commands against that tree's ``src/`` and the working tree's, each
 in its own output directory and with OpenBLAS on one thread:
 
-- gen-data for toy2 and default3 at 128 cells, under every normalization;
+- gen-data for toy2 and default3 at 128 cells, under every normalization,
+  and for default3 at 501 cells;
 - train for each of the seven ablation rows, with a test split and --val-data;
+- train the abc row at the default widths and batch size on the 501-cell data
+  for 2 epochs: the shipped (32, 16, 501) shape of the local block;
 - train with --batch-size 59 on the 60 default3 training samples, so that each
   epoch's last batch holds one sample;
 - eval --out on the abc row's checkpoint;
@@ -40,6 +43,7 @@ NORMALIZATIONS = ("max_abs", "l2", "none")
 ROWS = ("a", "b", "c", "ab", "ac", "bc", "abc")
 TRAIN = ["--epochs", "3", "--batch-size", "16", "--d-out", "4", "--g-out", "4"]
 DATA = "gen/default3-max_abs"
+DATA_501 = "gen/default3-501"
 
 
 def _steps():
@@ -50,9 +54,14 @@ def _steps():
                 "gen-data", "--preset", preset, "--n-cells", "128", "--per-class", "20",
                 "--test-per-class", "10", "--seed", "3", "--normalization", norm,
                 "--out", f"gen/{preset}-{norm}"]
+    yield "gen-default3-501", ["gen-data", "--preset", "default3", "--n-cells", "501",
+                               "--per-class", "20", "--test-per-class", "10", "--seed", "3",
+                               "--out", DATA_501]
     for row in ROWS:
         yield f"train-{row}", ["train", "--data", DATA, "--val-data", f"{DATA}/test.csv",
                                "--ablation", row, "--out", f"train/{row}", *TRAIN]
+    yield "train-abc-501", ["train", "--data", DATA_501, "--ablation", "abc", "--epochs", "2",
+                            "--out", "train/abc-501"]
     yield "train-last-batch-of-one", ["train", "--data", DATA, "--out", "train/last-batch-of-one",
                                       *TRAIN, "--batch-size", "59"]
     yield "eval", ["eval", "--data", f"{DATA}/test.csv", "--checkpoint", "train/abc/model.json",

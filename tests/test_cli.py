@@ -236,6 +236,25 @@ def test_config_file_unknown_key(gen_dir, tmp_path):
     assert rc == 2
 
 
+def test_config_file_must_hold_an_object(gen_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    capsys.readouterr()
+    rc = run("train", "--data", str(gen_dir), "--out", str(tmp_path / "r"), "--config", str(cfg))
+    assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
+    assert rc == 2
+
+
+def test_ablate_data_must_be_a_directory(gen_dir, tmp_path, capsys):
+    data = gen_dir / "train.csv"
+    capsys.readouterr()
+    rc = run("ablate", "--data", str(data), "--out", str(tmp_path / "r"))
+    assert capsys.readouterr().err == (
+        f"error: --data must be a directory with train.csv/test.csv, got {data}\n")
+    assert rc == 3
+    assert not (tmp_path / "r").exists()
+
+
 # (subcommand, --config contents, the key the error line must name)
 BAD_CONFIG_VALUES = {
     "string-epochs": ("train", {"epochs": "5"}, "epochs"),
@@ -328,6 +347,12 @@ def _csv(rows, manifest=None):
     return make
 
 
+def _empty_csv(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("", encoding="utf-8")
+    return path
+
+
 def _three_class_checkpoint(trained, tmp_path):
     path = tmp_path / "model.json"
     GraphClassifier(ModelConfig(n_cells=16, n_classes=3, d_out=2, g_out=2)).save(path)
@@ -357,6 +382,8 @@ MALFORMED = {
         "invalid config"),
     "out-of-range-config-value": (
         _corrupt_checkpoint(lambda p: p["config"].update(n_cells=2)), None, 3, "invalid config"),
+    "checkpoint-without-step": (
+        _corrupt_checkpoint(lambda p: p.pop("step")), None, 3, "is missing field 'step'"),
     "non-integer-step": (_corrupt_checkpoint(lambda p: p.update(step="abc")), None, 3, "step"),
     "fractional-step": (_corrupt_checkpoint(lambda p: p.update(step=1.7)), None, 3, "step"),
     "tensors-not-an-object": (
@@ -383,6 +410,9 @@ MALFORMED = {
     "2-declared-classes-on-3-class-checkpoint": (
         _three_class_checkpoint, None, 2,
         "/test.csv has 16 cells and 2 classes, model has 16 cells and 3 classes"),
+    "empty-csv": (None, _empty_csv, 3, "data.csv: empty file"),
+    "negative-label-in-csv": (
+        None, _csv([(0, "0.5"), (-1, "0.5")]), 3, "data.csv: line 3: negative label -1"),
     "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
     "negative-amplitude-in-csv": (None, _csv([(0, "0.5"), (1, "-0.5")]), 3, "line 3"),
     "manifest-string-n-classes": (

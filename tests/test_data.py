@@ -119,6 +119,14 @@ def test_normalize_l2_example():
     np.testing.assert_allclose(out.samples[0].amplitudes, [0.6, 0.8, 0.0], atol=1e-15)
 
 
+def test_normalize_max_abs_scales_a_faint_profile_to_peak_one():
+    """Only an all-zero profile is left unscaled, however small another's peak is."""
+    amps = np.array([1e-4, 5e-4, 2.5e-4])
+    out = normalize(Dataset([_sample(amps, 0)], 3, 1, ["a"]), "max_abs").samples[0].amplitudes
+    np.testing.assert_array_equal(out, amps / 5e-4)
+    assert out.max() == 1.0
+
+
 def test_normalize_none_and_zero_sample_passthrough():
     ds = Dataset([_sample([0.0, 0.0, 0.0], 0)], 3, 1, ["a"])
     for mode in ("max_abs", "l2", "none"):

@@ -18,6 +18,16 @@ def test_reciprocal_distance_small():
     np.testing.assert_array_equal(r, [[1, 0.5, 1 / 3], [0.5, 1, 0.5], [1 / 3, 0.5, 1]])
 
 
+@pytest.mark.parametrize("n", [1, 3, 16, 128, 501, 1000])
+def test_reciprocal_distance_is_the_formula_bit_for_bit(n):
+    """One C-contiguous array of its own, equal to 1 / (|i - j| + 1) in every bit."""
+    idx = np.arange(n, dtype=np.float64)
+    r = reciprocal_distance(n)
+    assert r.shape == (n, n) and r.dtype == np.float64
+    assert r.flags.c_contiguous and r.flags.owndata and r.flags.writeable
+    assert np.array_equal(r, 1.0 / (np.abs(idx[:, None] - idx[None, :]) + 1.0))
+
+
 def test_adjacency_symmetric_exactly(rng):
     for _ in range(50):
         h = rng.normal(size=rng.integers(1, 40))

@@ -150,6 +150,80 @@ def test_batchnorm_single_sample_gradients(rng):
     assert max(errs.values()) < 1e-4
 
 
+# ---- flat rows: the bits of the per-channel broadcast -----------------------------
+
+
+def _assert_same_bits(got, want):
+    """Equal values with equal signs: a -0.0 where the reference has +0.0 fails."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 501), (2, 3, 1)])
+def test_batchnorm_flat_rows_match_the_channel_broadcast_bit_for_bit(shape, rng):
+    """Output, running statistics and every gradient equal, bit for bit, the same
+    operations in the same order written with (1, channels, 1) broadcasts."""
+    b, c, n = shape
+    bn = BatchNorm1d(c)
+    for arr, low, high in ((bn.gamma, -2.0, 2.0), (bn.beta, -2.0, 2.0),
+                           (bn.running_mean, -2.0, 2.0), (bn.running_var, 0.5, 1.5)):
+        arr[...] = rng.uniform(low, high, size=c)
+    x, g = rng.normal(3.0, 2.0, size=shape), rng.normal(size=shape)
+    mean = x.mean(axis=(0, 2))
+    xhat = x - mean[None, :, None]
+    y = xhat * xhat
+    var = y.sum(axis=(0, 2)) / (b * n)
+    running_mean = (1.0 - bn.MOMENTUM) * bn.running_mean + bn.MOMENTUM * mean
+    running_var = (1.0 - bn.MOMENTUM) * bn.running_var + bn.MOMENTUM * var
+    inv_std = 1.0 / np.sqrt(var + bn.EPS)
+    xhat *= inv_std[None, :, None]
+    np.multiply(bn.gamma[None, :, None], xhat, out=y)
+    y += bn.beta[None, :, None]
+    g_xhat = g * xhat
+    g_gamma, g_beta = g_xhat.sum(axis=(0, 2)), g.sum(axis=(0, 2))
+    g_x = (b * n) * g
+    g_x -= g_beta[None, :, None]
+    g_x -= np.multiply(xhat, g_gamma[None, :, None], out=g_xhat)
+    g_x *= (bn.gamma * inv_std)[None, :, None] / (b * n)
+
+    _assert_same_bits(bn.forward(x), y)
+    _assert_same_bits(bn.running_mean, running_mean)
+    _assert_same_bits(bn.running_var, running_var)
+    _assert_same_bits(bn.backward(g), g_x)
+    _assert_same_bits(bn.g_gamma, g_gamma)
+    _assert_same_bits(bn.g_beta, g_beta)
+
+
+@pytest.mark.parametrize("grad", ["normal", "edge-cells-negative-zero", "underflow"])
+@pytest.mark.parametrize("n", [3, 501])
+@pytest.mark.parametrize("in_channels", [1, 3])
+def test_conv1d_backward_matches_the_padded_reference_bit_for_bit(in_channels, n, grad, rng):
+    """Both gradients equal, bit for bit, np.pad's bordered input and the input
+    gradient's shifted adds written per channel.
+
+    With ``underflow`` every kernel-gradient product is a negative value below the
+    smallest subnormal. Where BLAS accumulates with fused multiply-adds the tap
+    products are then -0.0, and only a -0.0 carried across a channel boundary keeps
+    the sign of the input gradient's first and last cells."""
+    conv = Conv1d(in_channels, 16, rng)
+    x, g = rng.normal(size=(4, in_channels, n)), rng.normal(size=(4, 16, n))
+    if grad == "edge-cells-negative-zero":
+        g[:, :, 0] = g[:, :, -1] = -0.0
+    elif grad == "underflow":
+        conv.kernels[...] = np.abs(conv.kernels) * 1e-200
+        g = -np.abs(g) * 1e-200
+    conv.forward(x)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    g_kernels = np.stack([np.matmul(g, xp[:, :, k : k + n].transpose(0, 2, 1)).sum(axis=0)
+                          for k in range(3)], axis=2)
+    g_x = np.matmul(conv.kernels[:, :, 1].T, g)
+    g_x[:, :, :-1] += np.matmul(conv.kernels[:, :, 0].T, g)[:, :, 1:]
+    g_x[:, :, 1:] += np.matmul(conv.kernels[:, :, 2].T, g)[:, :, :-1]
+
+    _assert_same_bits(conv.backward(g), g_x)
+    _assert_same_bits(conv.g_kernels, g_kernels)
+
+
 def test_graphconv_worked_example(rng):
     # Y = W1 X + W2 X E = [7.5, 34.5]; the mean reads out 21, and scores
     # [7.5 k, 34.5 k] with 27 k = log 3 weight the nodes 1/4 and 3/4

@@ -5,7 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hrrpgnn.data import make_benchmark, synth_generate, toy_two_class_specs
+from hrrpgnn.data import (
+    default_three_class_specs,
+    make_benchmark,
+    synth_generate,
+    toy_two_class_specs,
+)
 from hrrpgnn.errors import ConfigError
 from hrrpgnn.model import ABLATION_ORDER, GraphClassifier, ModelConfig
 from hrrpgnn.trainkit import (
@@ -99,6 +104,11 @@ ROW_TENSORS = {
     "bc": _GCONV + ["gconv.score"] + _FC,
     "abc": _CONV + _GCONV + ["gconv.score"] + _FC,
 }
+
+
+def test_train_config_needs_an_epoch():
+    with pytest.raises(ConfigError, match="^epochs must be >= 1, got 0$"):
+        TrainConfig(epochs=0)
 
 
 @pytest.mark.parametrize("flags", ABLATION_ORDER)
@@ -402,6 +412,38 @@ def test_evaluate_and_format(toy_benchmark):
     assert "true\\pred" in text and test_ds.class_names[0] in text
 
 
+@pytest.mark.parametrize("names", [[s.name for s in default_three_class_specs(16)],
+                                   ["a", "a-class-name-longer-than-any-count"]])
+def test_format_confusion_columns_fit_their_names(names):
+    """The header and every row split into n + 1 fields, and each count ends in
+    the same column as its class name."""
+    k = len(names)
+    m = metrics_from_confusion(np.arange(1, k * k + 1).reshape(k, k) * 1234, names)
+    lines = format_confusion(m).splitlines()
+    assert len(lines) == k + 1
+    ends = [[field.end() for field in re.finditer(r"\S+", line)] for line in lines]
+    assert all(len(e) == k + 1 for e in ends), lines
+    assert all(e[1:] == ends[0][1:] for e in ends), lines
+
+
+@pytest.mark.filterwarnings("ignore:.*no true samples:UserWarning")
+@pytest.mark.parametrize("n_samples", [1, 257])
+def test_evaluate_and_dataset_loss_count_every_sample(n_samples):
+    """One sample past a multiple of 256, or one sample alone, is evaluated like any
+    other: both equal an eval-mode pass over each sample on its own."""
+    ds = synth_generate(toy_two_class_specs(16), per_class=129, n_cells=16, seed=0)
+    ds = replace(ds, samples=ds.samples[:n_samples])
+    model = tiny_model(n_cells=16)
+    labels = ds.labels()
+    log_probs = [model.forward_batch(s.amplitudes[None, :], training=False) for s in ds.samples]
+    predicted = np.array([int(np.argmax(lp)) for lp in log_probs])
+    m = evaluate(model, ds)
+    assert m.n_samples == n_samples and m.confusion.sum() == n_samples
+    np.testing.assert_array_equal(m.confusion, confusion_matrix(labels, predicted, 2))
+    losses = [model.loss_batch(lp, labels[i : i + 1]) for i, lp in enumerate(log_probs)]
+    assert abs(dataset_loss(model, ds) - np.mean(losses)) < 1e-12
+
+
 def test_metrics_to_dict_rounding():
     m = metrics_from_confusion(np.array([[1, 2], [1, 2]]))
     d = m.to_dict()
@@ -444,6 +486,13 @@ def test_ablation_suite_rejects_a_misfit_split_before_its_first_row(toy_benchmar
         run_ablation_suite(train_ds, wide_test, mc, TrainConfig(epochs=1), [0],
                            progress=lambda *row: rows.append(row))
     assert rows == []
+
+
+def test_ablation_suite_needs_a_seed(toy_benchmark):
+    train_ds, test_ds = toy_benchmark
+    mc = ModelConfig(n_cells=32, n_classes=2, d_out=2, g_out=2)
+    with pytest.raises(ConfigError, match="^need at least one seed$"):
+        run_ablation_suite(train_ds, test_ds, mc, TrainConfig(epochs=1), [])
 
 
 def test_ablation_table_and_csv(tmp_path, micro_ablation):
