@@ -6,11 +6,12 @@ AttentionPool, Dense) take the caller's generator as their last argument
 and draw the weights from it with ``uniform_init``, in ``PARAMS`` order.
 Only GraphConv and Dense carry a bias, which starts at zero; a bias that
 the next operation cancels (Conv1d's before BatchNorm, an attention score
-before the softmax) is left out. ``PARAMS`` names the parameter arrays in
-checkpoint order, and the gradient slot of parameter ``p`` is the
-same-shaped array ``g_p``. ``forward`` computes the layer function and
-caches whatever the analytic ``backward`` needs, the input or the output
-itself by reference in some layers, so neither may change between the two;
+before the softmax) is left out. Each constructor registers its parameter
+arrays with ``_params``: it lists their names in checkpoint order in
+``PARAMS`` and gives parameter ``p`` its gradient slot, the same-shaped
+array ``g_p``. ``forward`` computes the layer function and caches whatever
+the analytic ``backward`` needs, the input or the output itself by
+reference in some layers, so neither may change between the two;
 ``backward`` takes the upstream gradient, overwrites every gradient slot
 in place (optimizers hold references to them) and returns the gradient
 with respect to the layer input. Gradients are hand-derived from the
@@ -73,6 +74,13 @@ class _Layer:
     BUFFERS: tuple = ()
     _cache = None
 
+    def _params(self, **arrays) -> None:
+        """Set each array and a zeroed ``g_<name>`` slot, and append its name to ``PARAMS``."""
+        for name, value in arrays.items():
+            setattr(self, name, value)
+            setattr(self, f"g_{name}", np.zeros_like(value))
+            self.PARAMS += (name,)
+
     def tensors(self, prefix: str):
         """(name, param, grad) for each of ``PARAMS``, in checkpoint order."""
         for p in self.PARAMS:
@@ -93,15 +101,11 @@ class Conv1d(_Layer):
     at least the kernel width.
     """
 
-    PARAMS = ("kernels",)
-
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernels = uniform_init(
-            rng, (out_channels, in_channels, KERNEL_WIDTH), in_channels * KERNEL_WIDTH
-        )
-        self.g_kernels = np.zeros_like(self.kernels)
+        self._params(kernels=uniform_init(
+            rng, (out_channels, in_channels, KERNEL_WIDTH), in_channels * KERNEL_WIDTH))
 
     def forward(self, x, affine=None) -> np.ndarray:
         x3 = _batch(x, 3, "conv1d", self.in_channels)
@@ -167,17 +171,13 @@ class BatchNorm1d(_Layer):
 
     EPS = 1e-5
     MOMENTUM = 0.1
-    PARAMS = ("gamma", "beta")
     BUFFERS = ("running_mean", "running_var")
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
+        self._params(gamma=np.ones(channels), beta=np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.g_gamma = np.zeros_like(self.gamma)
-        self.g_beta = np.zeros_like(self.beta)
 
     def forward(self, x) -> np.ndarray:
         x3 = _batch(x, 3, "batchnorm", self.channels)
@@ -245,7 +245,6 @@ class GraphConv(_Layer):
     once per layer, to one row per sample at a time.
     """
 
-    PARAMS = ("w1", "w2", "bias")
     score = None
     alpha = None
 
@@ -255,16 +254,11 @@ class GraphConv(_Layer):
         self.out_dim = out_dim
         self.n_nodes = n_nodes
         self.recip = reciprocal_distance(n_nodes)
-        self.w1 = uniform_init(rng, (out_dim, in_dim), in_dim)
-        self.w2 = uniform_init(rng, (out_dim, in_dim), in_dim)
+        self._params(w1=uniform_init(rng, (out_dim, in_dim), in_dim),
+                     w2=uniform_init(rng, (out_dim, in_dim), in_dim),
+                     bias=np.zeros((out_dim, n_nodes)))
         if attention:
-            self.score = uniform_init(rng, out_dim, out_dim)
-            self.g_score = np.zeros_like(self.score)
-            self.PARAMS += ("score",)
-        self.bias = np.zeros((out_dim, n_nodes))
-        self.g_w1 = np.zeros_like(self.w1)
-        self.g_w2 = np.zeros_like(self.w2)
-        self.g_bias = np.zeros_like(self.bias)
+            self._params(score=uniform_init(rng, out_dim, out_dim))
 
     def _times_adjacency(self, v: np.ndarray, h: np.ndarray) -> np.ndarray:
         """v @ E for (batch, N) rows v, row i against sample i's E: ((v * h) @ R) * h.
@@ -348,13 +342,11 @@ class AttentionPool(_Layer):
     shifts by the same amount.
     """
 
-    PARAMS = ("w",)
     alpha = None
 
     def __init__(self, feature_dim: int, rng: np.random.Generator):
         self.feature_dim = feature_dim
-        self.w = uniform_init(rng, feature_dim, feature_dim)
-        self.g_w = np.zeros_like(self.w)
+        self._params(w=uniform_init(rng, feature_dim, feature_dim))
 
     def forward(self, nodes) -> np.ndarray:
         x3 = _batch(nodes, 3, "attention", self.feature_dim)
@@ -391,14 +383,9 @@ class MeanPool(_Layer):
 class Dense(_Layer):
     """Affine map W v + b from a pooled feature vector to class logits."""
 
-    PARAMS = ("w", "b")
-
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
-        self.w = uniform_init(rng, (out_dim, in_dim), in_dim)
-        self.b = np.zeros(out_dim)
-        self.g_w = np.zeros_like(self.w)
-        self.g_b = np.zeros_like(self.b)
+        self._params(w=uniform_init(rng, (out_dim, in_dim), in_dim), b=np.zeros(out_dim))
 
     def forward(self, v) -> np.ndarray:
         v2 = _batch(v, 2, "dense", self.in_dim)

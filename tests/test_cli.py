@@ -734,6 +734,8 @@ BAD_SPEC_NUMBERS = {
     "amplitude-nan": ("amplitude", float("nan")),
     # finite, but two overlapping 1e308 pulses at factor 1.5 overflow
     "amplitude-1e308": ("amplitude", 1e308),
+    "amplitude-jitter-1": ("amplitude_jitter", 1.0),
+    "dropout-prob-1": ("dropout_prob", 1.0),
 }
 
 
@@ -755,6 +757,32 @@ def test_bad_class_spec_number_exit_code(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert f"{field} must" in err
+    assert not out.exists(), sorted(out.iterdir())
+
+
+# a class-spec file refused for its structure: (its payload, the exit code, the message)
+BAD_SPEC_FILES = {
+    "no-scatterers": ({"classes": [{"name": "x", "scatterers": []}]}, 2,
+                      "class 'x' has no scatterers"),
+    "missing-name": ({"classes": [{"scatterers": [{"position": 4.0, "amplitude": 1.0,
+                                                   "width": 1.0}]}]}, 3,
+                     "class spec is missing required field 'name'"),
+    "empty-classes": ({"classes": []}, 3, "'classes' list is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_FILES))
+def test_bad_class_spec_file_exit_code(case, tmp_path, capsys):
+    payload, code, message = BAD_SPEC_FILES[case]
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run("gen-data", "--spec", str(path), "--n-cells", "16", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert message in err
     assert not out.exists(), sorted(out.iterdir())
 
 

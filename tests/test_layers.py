@@ -480,18 +480,25 @@ def test_backward_before_forward_raises(rng):
 
 
 def test_gradient_slots_are_filled_in_place(rng):
-    """Optimizers capture (param, grad) references once; backward must not rebind."""
+    """Optimizers capture (param, grad) references once; backward must not rebind. Each
+    slot is an array of its own with its parameter's shape, the conditional score's too."""
     layers = {
         "conv": Conv1d(2, 3, rng),
         "bn": BatchNorm1d(2),
         "gconv": GraphConv(2, 3, 5, rng),
         "att": AttentionPool(2, rng),
         "fc": Dense(2, 3, rng),
+        "gconv_att": GraphConv(2, 3, 5, rng, attention=True),
     }
     grabbed = {
         name: [(pname, param, grad) for pname, param, grad in layer.tensors(name)]
         for name, layer in layers.items()
     }
+    assert [p for p, _, _ in grabbed["gconv_att"]] == [
+        f"gconv_att.{p}" for p in ("w1", "w2", "bias", "score")]
+    for pname, param, grad in (t for tensors in grabbed.values() for t in tensors):
+        assert grad is not param, f"{pname} gradient slot is its parameter"
+        assert grad.shape == param.shape, pname
 
     x = rng.normal(size=(4, 2, 5))
     layers["conv"].forward(x)
@@ -500,6 +507,8 @@ def test_gradient_slots_are_filled_in_place(rng):
     layers["bn"].backward(rng.normal(size=x.shape))
     layers["gconv"].forward(x, rng.uniform(0.5, 1.5, size=(4, 5)))
     layers["gconv"].backward(rng.normal(size=(4, 3)))
+    layers["gconv_att"].forward(x, rng.uniform(0.5, 1.5, size=(4, 5)))
+    layers["gconv_att"].backward(rng.normal(size=(4, 3)))
     layers["att"].forward(x)
     layers["att"].backward(rng.normal(size=(4, 2)))
     layers["fc"].forward(rng.normal(size=(4, 2)))

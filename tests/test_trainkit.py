@@ -166,7 +166,7 @@ def test_shuffle_seed_changes_batch_order(toy_benchmark):
     assert log_a[-1]["train_loss"] != log_b[-1]["train_loss"]
 
 
-def test_trailing_singleton_batch_folds_into_previous(monkeypatch):
+def test_trailing_singleton_batch_steps_alone(monkeypatch):
     """33 samples at batch 16 train in batches of 16, 16 and 1: the last sample steps alone."""
     specs = toy_two_class_specs(16)
     ds = synth_generate(specs, per_class=17, n_cells=16, seed=0)
@@ -187,7 +187,7 @@ def test_trailing_singleton_batch_folds_into_previous(monkeypatch):
 
 @pytest.mark.parametrize("n, sizes", [(2, [2]), (33, [32, 1]), (34, [32, 2]), (64, [32, 32]),
                                       (65, [32, 32, 1])], ids=["n2", "n33", "n34", "n64", "n65"])
-def test_batches_partition_the_samples_without_a_singleton(n, sizes):
+def test_batches_partition_the_samples_a_singleton_included(n, sizes):
     """At batch 32, the batches are consecutive slices of one shuffle, the last holding
     what is left, a single sample included; together they hold every sample once."""
     batches = _batches(n, 32, np.random.default_rng(0))
