@@ -141,15 +141,22 @@ def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
 
 
 def check_seed(name: str, seed) -> None:
-    """Random seeds are integers >= 0, the domain of ``np.random.default_rng``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """Random seeds are integers >= 0, the domain of ``np.random.default_rng``; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def synth_generate(
     specs: list[SynthClassSpec], per_class: int, n_cells: int, seed: int
 ) -> Dataset:
-    """Draw ``per_class`` samples per class spec as rows of one array; deterministic given seed."""
+    """Draw ``per_class`` samples per class spec as rows of one array; deterministic given seed.
+
+    Each sample draws its shift, factors, keeps and noise in that order.
+    After a class's draws, each scatterer's pulses for all its samples are
+    evaluated only on the cells within ``sqrt(746 * 2 w**2) + 1`` of its
+    jittered centres. Every other cell's exponent lies below -746, where
+    ``exp`` is exactly 0.0, so skipping those cells changes no value.
+    """
     if not specs:
         raise ConfigError("need at least one class spec")
     if per_class < 1:
@@ -161,9 +168,14 @@ def synth_generate(
         _validate_spec(spec, n_cells)
 
     rng = np.random.default_rng(seed)
+    k_max = max(len(spec.scatterers) for spec in specs)
     try:
         cells = np.arange(n_cells, dtype=np.float64)
         amps = np.empty((len(specs) * per_class, n_cells))
+        signal = np.empty((per_class, n_cells))
+        shifts = np.empty(per_class)
+        factors = np.empty((per_class, k_max))
+        keep = np.empty((per_class, k_max), dtype=bool)
     except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
         raise ConfigError(f"per_class and n_cells must be small enough to allocate, "
                           f"got {per_class} and {n_cells}: {exc}") from None
@@ -172,18 +184,32 @@ def synth_generate(
         k = len(spec.scatterers)
         positions = np.array([sc.position for sc in spec.scatterers])
         amplitudes = np.array([sc.amplitude for sc in spec.scatterers])
-        widths = np.array([sc.width for sc in spec.scatterers])
-        for _ in range(per_class):
-            shift = rng.uniform(-spec.position_jitter, spec.position_jitter)
-            factors = rng.uniform(1.0 - spec.amplitude_jitter, 1.0 + spec.amplitude_jitter, k)
-            keep = rng.random(k) >= spec.dropout_prob
-            pulses = np.exp(
-                -((cells[None, :] - (positions + shift)[:, None]) ** 2)
-                / (2.0 * widths[:, None] ** 2)
-            )
-            signal = ((keep * amplitudes * factors)[:, None] * pulses).sum(axis=0)
-            noise = rng.normal(0.0, spec.noise_sigma, n_cells) if spec.noise_sigma > 0 else 0.0
-            samples.append(HrrpSample(np.abs(signal + noise, out=amps[len(samples)]), label))
+        two_w2 = 2.0 * np.array([sc.width for sc in spec.scatterers]) ** 2
+        # sqrt(746 * two_w2), taken apart so that it cannot overflow
+        reaches = np.sqrt(746.0) * np.sqrt(two_w2) + 1.0
+        rows = amps[label * per_class:(label + 1) * per_class]
+        for i in range(per_class):
+            shifts[i] = rng.uniform(-spec.position_jitter, spec.position_jitter)
+            factors[i, :k] = rng.uniform(1.0 - spec.amplitude_jitter, 1.0 + spec.amplitude_jitter, k)
+            keep[i, :k] = rng.random(k) >= spec.dropout_prob
+            rows[i] = rng.normal(0.0, spec.noise_sigma, n_cells) if spec.noise_sigma > 0 else 0.0
+        weights = keep[:, :k] * amplitudes * factors[:, :k]
+        # every weighted pulse is >= +0.0, so summing from a +0.0 buffer is the per-sample sum
+        signal.fill(0.0)
+        for j in range(k):
+            centres = positions[j] + shifts
+            # a slice clips hi to the grid, but a negative lo would count from its end
+            lo = int(max(0, np.floor(centres.min() - reaches[j])))
+            hi = int(np.ceil(centres.max() + reaches[j]))
+            # one (per_class, window) temporary: numpy reuses it through the chain,
+            # exp and the weighting run in place, and it is freed before the next
+            pulses = -((cells[lo:hi] - centres[:, None]) ** 2) / two_w2[j]
+            np.exp(pulses, out=pulses)
+            pulses *= weights[:, j, None]
+            signal[:, lo:hi] += pulses
+            del pulses
+        np.abs(np.add(signal, rows, out=rows), out=rows)
+        samples.extend(HrrpSample(row, label) for row in rows)
 
     manifest = {
         "source": "synthetic",

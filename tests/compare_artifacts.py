@@ -8,6 +8,10 @@ in its own output directory and with OpenBLAS on one thread:
 
 - gen-data for toy2 and default3 at 128 cells, under every normalization,
   and for default3 at 501 cells;
+- gen-data --spec at 128 cells, unnormalized, from a noise-free spec the tool
+  writes first: scatterers at both edges with widths 0.05 and 200, whose
+  pulses are clipped at either end of the grid, and a lone width-2 pulse whose
+  tail falls through the subnormals to 0.0;
 - train for each of the seven ablation rows, with a test split and --val-data;
 - train the abc row at the default widths and batch size on the 501-cell data
   for 2 epochs: the shipped (32, 16, 501) shape of the local block;
@@ -32,6 +36,7 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +49,7 @@ ROWS = ("a", "b", "c", "ab", "ac", "bc", "abc")
 TRAIN = ["--epochs", "3", "--batch-size", "16", "--d-out", "4", "--g-out", "4"]
 DATA = "gen/default3-max_abs"
 DATA_501 = "gen/default3-501"
+EDGE_SPEC = "edge-spec.json"
 
 
 def _steps():
@@ -57,6 +63,9 @@ def _steps():
     yield "gen-default3-501", ["gen-data", "--preset", "default3", "--n-cells", "501",
                                "--per-class", "20", "--test-per-class", "10", "--seed", "3",
                                "--out", DATA_501]
+    yield "gen-edge-spec", ["gen-data", "--spec", EDGE_SPEC, "--n-cells", "128", "--per-class",
+                            "20", "--test-per-class", "10", "--seed", "3", "--normalization",
+                            "none", "--out", "gen/edge-spec"]
     for row in ROWS:
         yield f"train-{row}", ["train", "--data", DATA, "--val-data", f"{DATA}/test.csv",
                                "--ablation", row, "--out", f"train/{row}", *TRAIN]
@@ -70,10 +79,26 @@ def _steps():
     yield "gradcheck", ["gradcheck", "--seed", "0"]
 
 
+def _edge_spec() -> dict:
+    """A noise-free 128-cell class-spec file: pulses at both edges, and one lone pulse."""
+    def edges(width):
+        return [{"position": 0.0, "amplitude": 1.0, "width": width},
+                {"position": 127.0, "amplitude": 0.8, "width": width}]
+
+    return {"classes": [
+        {"name": "narrow", "position_jitter": 2.0, "amplitude_jitter": 0.3,
+         "scatterers": edges(0.05)},
+        {"name": "wide", "position_jitter": 127.5, "amplitude_jitter": 0.3,
+         "scatterers": edges(200.0)},
+        {"name": "lone", "scatterers": [{"position": 0.0, "amplitude": 1.0, "width": 2.0}]},
+    ]}
+
+
 def run_all(tree: Path, out: Path) -> list[str]:
     """Run every step with ``tree``'s sources, writing under ``out``; the steps that failed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     (out / "logs").mkdir(parents=True)
+    (out / EDGE_SPEC).write_text(json.dumps(_edge_spec(), indent=1), encoding="utf-8")
     failed = []
     for name, args in _steps():
         proc = subprocess.run(

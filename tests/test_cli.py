@@ -391,6 +391,10 @@ MALFORMED = {
     "config-not-an-object": (
         _corrupt_checkpoint(lambda p: p.update(config=5)), None, 3,
         "config must be a JSON object"),
+    # --config refuses a bool seed with exit 2, so a checkpoint's config may not hold one either
+    "bool-seed": (
+        _corrupt_checkpoint(lambda p: p["config"].update(seed=True)), None, 3,
+        "invalid config: seed must be an integer >= 0, got True"),
     "list-ablation": (
         _corrupt_checkpoint(lambda p: p["config"].update(ablation=["a", "b", "c"])), None, 3,
         "invalid config"),

@@ -73,6 +73,8 @@ def test_synth_validation():
     off_grid = [SynthClassSpec("x", (ScattererSpec(99.0, 1.0, 1.0),))]
     with pytest.raises(ConfigError):
         synth_generate(off_grid, per_class=1, n_cells=16, seed=0)
+    with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got True$"):
+        synth_generate(two_specs(), per_class=5, n_cells=16, seed=True)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -99,6 +101,75 @@ def test_synth_rejects_a_sample_count_too_large_to_allocate():
     # numpy refuses a 2**61-row shape before allocating anything, so this is safe on any host
     with pytest.raises(ConfigError, match="per_class"):
         synth_generate(two_specs(), per_class=2**60, n_cells=16, seed=0)
+
+
+def _per_sample_reference(specs, per_class, n_cells, seed):
+    """Each sample's profile from its own draws, every pulse on every cell."""
+    rng = np.random.default_rng(seed)
+    cells = np.arange(n_cells, dtype=np.float64)
+    rows = []
+    for spec in specs:
+        k = len(spec.scatterers)
+        positions = np.array([sc.position for sc in spec.scatterers])
+        amplitudes = np.array([sc.amplitude for sc in spec.scatterers])
+        widths = np.array([sc.width for sc in spec.scatterers])
+        for _ in range(per_class):
+            shift = rng.uniform(-spec.position_jitter, spec.position_jitter)
+            factors = rng.uniform(1.0 - spec.amplitude_jitter, 1.0 + spec.amplitude_jitter, k)
+            keep = rng.random(k) >= spec.dropout_prob
+            pulses = np.exp(
+                -((cells[None, :] - (positions + shift)[:, None]) ** 2)
+                / (2.0 * widths[:, None] ** 2)
+            )
+            signal = ((keep * amplitudes * factors)[:, None] * pulses).sum(axis=0)
+            noise = rng.normal(0.0, spec.noise_sigma, n_cells) if spec.noise_sigma > 0 else 0.0
+            rows.append(np.abs(signal + noise))
+    return np.array(rows)
+
+
+def _edge_specs(n, noise_sigma):
+    """Windows clipped at both ends, 19 overlapping pulses, heavy dropout, lone tails."""
+    sc = ScattererSpec
+    return [
+        # a jitter near n moves both pulses past either end of the grid
+        SynthClassSpec("edges", (sc(0.0, 1.0, 0.05), sc(n - 1.0, 0.8, 200.0)),
+                       position_jitter=n - 0.5, amplitude_jitter=0.3, noise_sigma=noise_sigma),
+        # every cell sums more than 8 pulses, in scatterer order
+        SynthClassSpec("nineteen", tuple(sc(0.3 * n + 0.02 * n * i, 0.5 + 0.05 * i, 2.0 + i)
+                                         for i in range(19)),
+                       position_jitter=0.05 * n, amplitude_jitter=0.5, noise_sigma=noise_sigma),
+        SynthClassSpec("dropout", tuple(sc(0.1 * n * i, 1.0, 1.5) for i in range(1, 10)),
+                       position_jitter=2.0, dropout_prob=0.9, noise_sigma=noise_sigma),
+        # 746 * 2 w**2 would overflow to inf; the window is every cell
+        SynthClassSpec("flat", (sc(n / 3, 0.5, 1e153),), position_jitter=1.0,
+                       noise_sigma=noise_sigma),
+        # fixed single pulses, whose tails fall through the subnormals to 0.0 unabsorbed;
+        # at 501 cells the width-10 one's last nonzero cell, 386 out, is exp(-745.0)
+        SynthClassSpec("wider", (sc(min(50.0, n / 2), 1.0, 10.0),), noise_sigma=noise_sigma),
+        SynthClassSpec("narrow", (sc(n // 2 + 0.1, 0.7, 0.05),), noise_sigma=noise_sigma),
+        SynthClassSpec("wide", (sc(0.1 * n + 0.3, 1.0, 2.0),), noise_sigma=noise_sigma),
+    ]
+
+
+@pytest.mark.parametrize("n_cells", [32, 128, 501])
+def test_synth_generate_matches_the_per_sample_formula_bit_for_bit(n_cells):
+    """Skipping cells outside each pulse's window changes no value, -0.0 and subnormals included.
+
+    Noise of about 0.03 absorbs a tail near 1e-310, so only the noise-free
+    specs would show one lost.
+    """
+    assert np.exp(-746.0) == 0.0 < np.exp(-745.0)
+    cases = [default_three_class_specs(n_cells), toy_two_class_specs(n_cells),
+             _edge_specs(n_cells, 0.0), _edge_specs(n_cells, 0.05)]
+    for seed, specs in enumerate(cases):
+        got = synth_generate(specs, per_class=20, n_cells=n_cells, seed=seed).amplitude_matrix()
+        want = _per_sample_reference(specs, 20, n_cells, seed)
+        assert np.array_equal(got, want), [s.name for s in specs]
+        assert np.array_equal(np.signbit(got), np.signbit(want)), [s.name for s in specs]
+    # the noise-free single pulses reach subnormal values, so the comparison above sees them
+    single = _per_sample_reference(_edge_specs(n_cells, 0.0)[-2:], 1, n_cells, 0)
+    tails = ((0.0 < single) & (single < np.finfo(np.float64).tiny)).any(axis=1)
+    assert tails[0] and (tails[1] or n_cells < 90)  # a width-2 tail ends about 77 cells out
 
 
 # ---- normalization ----------------------------------------------------------------

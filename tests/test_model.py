@@ -55,6 +55,12 @@ def test_config_validation():
         ModelConfig(n_cells=8, n_classes=0)
 
 
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True), -1, 1.0, "0"])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
+        ModelConfig(n_cells=8, n_classes=2, seed=seed)
+
+
 def test_config_dict_roundtrip():
     cfg = small_config(ablation="ab")
     assert ModelConfig(**asdict(cfg)) == cfg

@@ -240,6 +240,12 @@ def test_epoch_row_is_the_mean_over_its_training_batches(toy_benchmark, monkeypa
             100.0 * sum(correct for _, _, correct in epoch) / n, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [True, False, np.bool_(False), -1, 0.0])
+def test_train_config_rejects_a_shuffle_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match=r"^shuffle_seed must be an integer >= 0, got "):
+        TrainConfig(shuffle_seed=seed)
+
+
 def test_train_rejects_mismatched_data(toy_benchmark):
     train_ds, _ = toy_benchmark
     with pytest.raises(ConfigError):
