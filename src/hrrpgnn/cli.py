@@ -34,6 +34,7 @@ import numpy as np
 
 from .data import (
     NORMALIZATION_MODES,
+    check_int,
     default_three_class_specs,
     load_class_specs,
     load_csv,
@@ -295,9 +296,7 @@ def cmd_ablate(args) -> int:
     defaults = {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "seeds": 5}
     del defaults["ablation"], defaults["seed"]  # each row sets its own, over seeds 0..seeds-1
     resolved = _merge(defaults, args.config, args)
-    n_seeds = resolved["seeds"]
-    if n_seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
+    n_seeds = check_int("--seeds", resolved["seeds"], 1)
     try:
         seeds = list(range(n_seeds))
     except (OverflowError, MemoryError):  # a list length Python refuses before allocating

@@ -85,14 +85,18 @@ class Dataset:
 
     def __post_init__(self):
         """Hold only what save_csv can write and load_csv reads back."""
+        self.n_cells = check_int("n_cells", self.n_cells, 1)
+        self.n_classes = check_int("n_classes", self.n_classes, 1)
         if not self.samples:
             raise ConfigError("a dataset needs at least one sample")
         # no names means generic ones, which reports make at the model's class count
         if self.class_names and len(self.class_names) != self.n_classes:
-            raise ConfigError(f"{len(self.class_names)} class names for {self.n_classes} classes")
+            raise ConfigError(f"n_classes must equal the {len(self.class_names)} class names, "
+                              f"got {self.n_classes}")
         for i, s in enumerate(self.samples):
             if s.amplitudes.shape != (self.n_cells,):
-                raise ShapeError(f"sample {i} has shape {s.amplitudes.shape}, expected ({self.n_cells},)")
+                raise ShapeError(f"n_cells must be every sample's length, got {self.n_cells} "
+                                 f"for sample {i} of shape {s.amplitudes.shape}")
             if not 0 <= s.label < self.n_classes:
                 raise ConfigError(f"sample {i} has label {s.label} outside [0, {self.n_classes})")
 
@@ -140,10 +144,11 @@ def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
         raise ConfigError(f"class {spec.name!r}: noise_sigma must be finite and >= 0")
 
 
-def check_seed(name: str, seed) -> None:
-    """Random seeds are integers >= 0, the domain of ``np.random.default_rng``; a bool is not one."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"{name} must be an integer >= 0, got {seed!r}")
+def check_int(name: str, value, minimum: int = 0) -> int:
+    """A size, count or seed as a plain int: an int or numpy integer >= ``minimum``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def synth_generate(
@@ -159,11 +164,9 @@ def synth_generate(
     """
     if not specs:
         raise ConfigError("need at least one class spec")
-    if per_class < 1:
-        raise ConfigError(f"per_class must be >= 1, got {per_class}")
-    if n_cells < 3:
-        raise ConfigError(f"n_cells must be >= 3, got {n_cells}")
-    check_seed("seed", seed)
+    per_class = check_int("per_class", per_class, 1)
+    n_cells = check_int("n_cells", n_cells, 3)
+    seed = check_int("seed", seed)
     for spec in specs:
         _validate_spec(spec, n_cells)
 
@@ -533,7 +536,7 @@ def make_benchmark(
     test_per_class = per_class if test_per_class is None else test_per_class
     try:
         test = synth_generate(perturb_specs(specs, test_position_offset), test_per_class,
-                              n_cells, seed + 10_000)
+                              n_cells, int(seed) + 10_000)  # a numpy int8 seed would overflow
     except ConfigError as exc:  # the train split passed, so the test count or shift is at fault
         if str(exc).startswith("per_class"):
             raise ConfigError(f"test split: test_{exc}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import check_seed
+from .data import check_int
 from .errors import NumericError, ShapeError
 from .layers import (
     AttentionPool,
@@ -76,7 +76,7 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
     that define the graph convolution's adjacency). Returns
     {tensor_name: max_rel_error} including an ``input`` entry.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed))
     args = (x,) if extra is None else (x, extra)
     out = layer.forward(*args)
     r = rng.standard_normal(out.shape)
@@ -94,7 +94,7 @@ def check_layer(layer, x, seed: int = 0, extra=None) -> dict:
 
 def layer_suite(seed: int = 0) -> dict:
     """Run every layer type once on small random shapes."""
-    check_seed("seed", seed)
+    seed = check_int("seed", seed)
     rng = np.random.default_rng(seed)
     batch, n = BATCH_SIZE, 9
     results = {}
@@ -151,7 +151,7 @@ def check_model(config: ModelConfig, seed: int = 0) -> dict:
     enter the training-mode output.
     """
     model = GraphClassifier(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed))
     labels = rng.integers(0, config.n_classes, BATCH_SIZE)
 
     amps = rng.uniform(0.1, 1.0, (BATCH_SIZE, config.n_cells))

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import check_seed, read_json, write_json
+from .data import check_int, read_json, write_json
 from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 from .layers import (
     AttentionPool,
@@ -60,12 +60,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_cells < 3:
-            raise ConfigError(f"n_cells must be >= 3 (conv kernel width), got {self.n_cells}")
-        for name in ("d_out", "g_out", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        check_seed("seed", self.seed)
+        # a profile must span the conv kernel's 3 taps
+        for name, minimum in (("n_cells", 3), ("n_classes", 1), ("d_out", 1), ("g_out", 1),
+                              ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         flags = self.ablation
         if not (isinstance(flags, str) and flags and set(flags) <= set("abc")
                 and len(set(flags)) == len(flags)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, check_seed, write_text
+from .data import Dataset, check_int, write_text
 from .errors import ConfigError, NumericError
 from .model import ABLATION_ORDER, GraphClassifier, ModelConfig
 
@@ -39,13 +39,10 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("shuffle_seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not 0.0 < self.learning_rate < np.inf:  # NaN fails both comparisons
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        check_seed("shuffle_seed", self.shuffle_seed)
 
 
 class Adam:
@@ -306,12 +303,13 @@ def run_ablation_suite(
 
     A failure inside one configuration is captured in that row's ``error``
     field and the sweep continues, so one bad config cannot sink the table.
-    A dataset that does not fit ``model_config`` raises before the first row.
+    A bad seed, or a dataset that does not fit ``model_config``, raises before the first row.
     A ``KeyboardInterrupt`` ends the sweep, raised again naming the row and
     seed after train's "at epoch E, step S".
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    seeds = [check_int(f"seeds[{i}]", seed) for i, seed in enumerate(seeds)]
     check_fits(model_config, ("training set", train_ds), ("test set", test_ds))
     results = []
     for flags in ABLATION_ORDER:

@@ -395,6 +395,12 @@ MALFORMED = {
     "bool-seed": (
         _corrupt_checkpoint(lambda p: p["config"].update(seed=True)), None, 3,
         "invalid config: seed must be an integer >= 0, got True"),
+    "bool-d-out": (
+        _corrupt_checkpoint(lambda p: p["config"].update(d_out=True)), None, 3,
+        "invalid config: d_out must be an integer >= 1, got True"),
+    "float-n-cells": (
+        _corrupt_checkpoint(lambda p: p["config"].update(n_cells=16.0)), None, 3,
+        "invalid config: n_cells must be an integer >= 3, got 16.0"),
     "list-ablation": (
         _corrupt_checkpoint(lambda p: p["config"].update(ablation=["a", "b", "c"])), None, 3,
         "invalid config"),

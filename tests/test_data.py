@@ -77,6 +77,27 @@ def test_synth_validation():
         synth_generate(two_specs(), per_class=5, n_cells=16, seed=True)
 
 
+def test_synth_generate_stores_numpy_integers_as_int_and_saves_them(tmp_path):
+    ds = synth_generate(two_specs(), np.int64(2), np.int32(16), np.int64(0))
+    assert type(ds.n_cells) is int and ds.n_cells == 16
+    save_csv(ds, tmp_path / "d.csv")
+    manifest = json.loads((tmp_path / "d.manifest.json").read_text(encoding="utf-8"))
+    assert {k: manifest[k] for k in ("n_cells", "per_class", "seed")} == {
+        "n_cells": 16, "per_class": 2, "seed": 0}
+    assert all(type(manifest[k]) is int for k in ("n_cells", "per_class", "seed"))
+    loaded = load_csv(tmp_path / "d.csv")
+    assert loaded.amplitude_matrix().tolist() == ds.amplitude_matrix().tolist()
+
+
+@pytest.mark.parametrize("n_cells, n_classes, field", [
+    (16.0, 2, "n_cells"), (True, 2, "n_cells"), (16, True, "n_classes"), (16, 2.0, "n_classes"),
+    (0, 2, "n_cells"), (16, np.int64(0), "n_classes")])
+def test_dataset_rejects_a_size_that_is_not_an_integer(n_cells, n_classes, field):
+    samples = synth_generate(two_specs(), per_class=1, n_cells=16, seed=0).samples
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= 1, got "):
+        Dataset(samples, n_cells, n_classes, [])
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
     ("position_jitter", float("nan")), ("position_jitter", 1e308), ("position_jitter", 16.0),

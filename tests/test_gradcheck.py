@@ -6,7 +6,7 @@ import pytest
 from oracle_reference import conv1d as oracle_conv1d
 
 import hrrpgnn.gradcheck
-from hrrpgnn.errors import NumericError
+from hrrpgnn.errors import ConfigError, NumericError
 from hrrpgnn.gradcheck import (
     LAYER_NAMES,
     STEP,
@@ -94,6 +94,11 @@ MODULE_TENSORS = {
     "b": {"gconv.w1", "gconv.w2", "gconv.bias"},
     "c": {"att.w"},
 }
+
+
+def test_check_all_ablations_names_a_fractional_width():
+    with pytest.raises(ConfigError, match=r"^d_out must be an integer >= 1, got 1\.5$"):
+        check_all_ablations(d_out=1.5)
 
 
 def test_check_all_ablations_keys():

@@ -61,6 +61,27 @@ def test_config_rejects_a_seed_that_is_not_an_integer(seed):
         ModelConfig(n_cells=8, n_classes=2, seed=seed)
 
 
+@pytest.mark.parametrize("field, value, minimum", [
+    ("n_cells", 16.0, 3), ("n_cells", 8.5, 3), ("d_out", 2.0, 1), ("g_out", np.float64(2.0), 1),
+    ("n_classes", True, 1), ("d_out", False, 1), ("n_cells", "16", 3)])
+def test_config_rejects_a_size_that_is_not_an_integer(field, value, minimum):
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= {minimum}, got "):
+        small_config(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_int_and_saves_them(tmp_path):
+    config = ModelConfig(n_cells=np.int64(8), n_classes=np.int32(2), d_out=np.uint8(2),
+                         g_out=np.int16(3), seed=np.int64(3))
+    sizes = {k: v for k, v in asdict(config).items() if k != "ablation"}
+    assert sizes == {"n_cells": 8, "n_classes": 2, "d_out": 2, "g_out": 3, "seed": 3}
+    assert all(type(v) is int for v in sizes.values())
+    GraphClassifier(config).save(tmp_path / "m.json")
+    saved = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["config"]
+    assert saved == {**sizes, "ablation": "abc"}
+    assert all(type(saved[k]) is int for k in sizes)
+    assert GraphClassifier.load(tmp_path / "m.json").config == config
+
+
 def test_config_dict_roundtrip():
     cfg = small_config(ablation="ab")
     assert ModelConfig(**asdict(cfg)) == cfg

@@ -107,8 +107,16 @@ ROW_TENSORS = {
 
 
 def test_train_config_needs_an_epoch():
-    with pytest.raises(ConfigError, match="^epochs must be >= 1, got 0$"):
+    with pytest.raises(ConfigError, match="^epochs must be an integer >= 1, got 0$"):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", True), ("epochs", 2.5), ("batch_size", 1.5), ("batch_size", np.float64(32.0)),
+    ("epochs", "3")])
+def test_train_config_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= 1, got "):
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("flags", ABLATION_ORDER)
@@ -499,6 +507,16 @@ def test_ablation_suite_needs_a_seed(toy_benchmark):
     mc = ModelConfig(n_cells=32, n_classes=2, d_out=2, g_out=2)
     with pytest.raises(ConfigError, match="^need at least one seed$"):
         run_ablation_suite(train_ds, test_ds, mc, TrainConfig(epochs=1), [])
+
+
+def test_ablation_suite_checks_every_seed_before_the_first_row(toy_benchmark, monkeypatch):
+    train_ds, test_ds = toy_benchmark
+    calls = []
+    monkeypatch.setattr("hrrpgnn.trainkit.train", lambda *args: calls.append(args))
+    mc = ModelConfig(n_cells=32, n_classes=2, d_out=2, g_out=2)
+    with pytest.raises(ConfigError, match=r"^seeds\[1\] must be an integer >= 0, got -1$"):
+        run_ablation_suite(train_ds, test_ds, mc, TrainConfig(epochs=1), [0, -1])
+    assert calls == []
 
 
 def test_ablation_table_and_csv(tmp_path, micro_ablation):
