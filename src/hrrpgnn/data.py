@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,59 +57,66 @@ class SynthClassSpec:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
 
 
-@dataclass(frozen=True)
-class HrrpSample:
-    """One range profile: N nonnegative cell amplitudes and a class label."""
+# one sample of a Dataset, as ``Dataset.samples`` gives it: a view of its row, and its label
+HrrpSample = namedtuple("HrrpSample", ["amplitudes", "label"])
 
-    amplitudes: np.ndarray
-    label: int
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
-        if amps.ndim != 1:
-            raise ShapeError(f"amplitudes must be 1-D, got ndim={amps.ndim}")
-        # one pass on the hot path (false on NaN too); -0.0 passes
-        if not ((amps >= 0.0) & (amps < np.inf)).all():
-            if not np.isfinite(amps).all():
-                raise ConfigError("amplitudes must be finite")
-            raise ConfigError(f"amplitudes must be nonnegative, got {amps.min()}")
-        object.__setattr__(self, "amplitudes", amps)
+def _check_amplitudes(amps: np.ndarray) -> None:
+    """Refuse a non-finite or negative amplitude in one pass (false on NaN too); -0.0 passes."""
+    if not ((amps >= 0.0) & (amps < np.inf)).all():
+        if not np.isfinite(amps).all():
+            raise ConfigError("amplitudes must be finite")
+        raise ConfigError(f"amplitudes must be nonnegative, got {amps.min()}")
 
 
 @dataclass
 class Dataset:
-    samples: list[HrrpSample]
-    n_cells: int
+    """Sample i is row i of the (n, n_cells) ``amplitudes`` with class ``label_ids[i]``."""
+
+    amplitudes: np.ndarray
+    label_ids: np.ndarray
     n_classes: int
     class_names: list[str]
     manifest: dict = field(default_factory=dict)
+    n_cells: int = field(init=False)
 
     def __post_init__(self):
         """Hold only what save_csv can write and load_csv reads back."""
-        self.n_cells = check_int("n_cells", self.n_cells, 1)
-        self.n_classes = check_int("n_classes", self.n_classes, 1)
-        if not self.samples:
+        self.amplitudes = amps = np.asarray(self.amplitudes, dtype=np.float64)
+        labels = np.asarray(self.label_ids)
+        if amps.ndim != 2 or labels.shape != amps.shape[:1]:
+            raise ShapeError(f"amplitudes must be (n, n_cells) with one label a row, "
+                             f"got shapes {amps.shape} and {labels.shape}")
+        if not len(amps):
             raise ConfigError("a dataset needs at least one sample")
+        self.n_cells = check_int("n_cells", amps.shape[1], 1)
+        self.n_classes = check_int("n_classes", self.n_classes, 1)
         # no names means generic ones, which reports make at the model's class count
         if self.class_names and len(self.class_names) != self.n_classes:
             raise ConfigError(f"n_classes must equal the {len(self.class_names)} class names, "
                               f"got {self.n_classes}")
-        for i, s in enumerate(self.samples):
-            if s.amplitudes.shape != (self.n_cells,):
-                raise ShapeError(f"n_cells must be every sample's length, got {self.n_cells} "
-                                 f"for sample {i} of shape {s.amplitudes.shape}")
-            if not 0 <= s.label < self.n_classes:
-                raise ConfigError(f"sample {i} has label {s.label} outside [0, {self.n_classes})")
+        top = min(self.n_classes, 2**63)  # an unsigned label at or above 2**63 wraps in int64
+        if labels.dtype.kind not in "iu" or not ((labels >= 0) & (labels < top)).all():
+            raise ConfigError(f"label_ids must be integers in [0, {top}), "
+                              f"got {labels.dtype} from {labels.min()} to {labels.max()}")
+        self.label_ids = labels.astype(np.int64, copy=False)
+        _check_amplitudes(amps)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.amplitudes)
+
+    @property
+    def samples(self) -> list[HrrpSample]:
+        """One record a row, each holding a writable view of its row of ``amplitudes``."""
+        return [HrrpSample(row, label)
+                for row, label in zip(self.amplitudes, self.label_ids.tolist())]
 
     def amplitude_matrix(self) -> np.ndarray:
-        """All sample amplitudes stacked as a (len, n_cells) array."""
-        return np.stack([s.amplitudes for s in self.samples])
+        """``amplitudes`` itself, not a copy."""
+        return self.amplitudes
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self.label_ids
 
 
 def _validate_spec(spec: SynthClassSpec, n_cells: int) -> None:
@@ -182,7 +190,6 @@ def synth_generate(
     except (ValueError, MemoryError) as exc:  # numpy's "array is too big" is a ValueError
         raise ConfigError(f"per_class and n_cells must be small enough to allocate, "
                           f"got {per_class} and {n_cells}: {exc}") from None
-    samples = []
     for label, spec in enumerate(specs):
         k = len(spec.scatterers)
         positions = np.array([sc.position for sc in spec.scatterers])
@@ -212,7 +219,6 @@ def synth_generate(
             signal[:, lo:hi] += pulses
             del pulses
         np.abs(np.add(signal, rows, out=rows), out=rows)
-        samples.extend(HrrpSample(row, label) for row in rows)
 
     manifest = {
         "source": "synthetic",
@@ -221,23 +227,21 @@ def synth_generate(
         "normalization": "none",
         "classes": [class_spec_to_dict(s) for s in specs],
     }
-    return Dataset(samples, n_cells, len(specs), [s.name for s in specs], manifest)
+    labels = np.repeat(np.arange(len(specs)), per_class)
+    return Dataset(amps, labels, len(specs), [s.name for s in specs], manifest)
 
 
 def normalize(dataset: Dataset, mode: str = "max_abs") -> Dataset:
     """Per-sample rescaling; all-zero samples pass through untouched."""
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}; use one of {NORMALIZATION_MODES}")
-    amps = dataset.amplitude_matrix()
+    amps = dataset.amplitudes.copy()
     if mode != "none":
         # each row's own 1-D norm: norm(amps, axis=1) rounds some rows differently
         scale = (amps.max(axis=1) if mode == "max_abs"
                  else np.array([np.linalg.norm(h) for h in amps]))[:, None]
         np.divide(amps, scale, out=amps, where=scale > 0)
-    out = [HrrpSample(h, s.label) for h, s in zip(amps, dataset.samples)]
-    manifest = dict(dataset.manifest)
-    manifest["normalization"] = mode
-    return Dataset(out, dataset.n_cells, dataset.n_classes, list(dataset.class_names), manifest)
+    return replace(dataset, amplitudes=amps, manifest={**dataset.manifest, "normalization": mode})
 
 
 # -- file I/O -----------------------------------------------------------------
@@ -288,17 +292,13 @@ def write_json(path, payload) -> None:
     write_text(path, json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
-def _manifest_path(path) -> Path:
-    return Path(path).with_suffix(".manifest.json")
-
-
 def save_csv(dataset: Dataset, path) -> None:
     """Write the CSV plus its manifest sidecar (``<stem>.manifest.json``)."""
     path = Path(path)
-    header = "label," + ",".join(f"h_{i}" for i in range(dataset.n_cells))
-    lines = [header]
-    for s in dataset.samples:
-        lines.append(str(s.label) + "," + ",".join(map(repr, s.amplitudes.tolist())))
+    lines = ["label," + ",".join(f"h_{i}" for i in range(dataset.n_cells))]
+    # row by row: one tolist() of the whole matrix holds every row's floats at once
+    for label, row in zip(dataset.label_ids.tolist(), dataset.amplitudes):
+        lines.append(str(label) + "," + ",".join(map(repr, row.tolist())))
     write_text(path, "\n".join(lines) + "\n")
     manifest = {
         "n_cells": dataset.n_cells,
@@ -306,7 +306,7 @@ def save_csv(dataset: Dataset, path) -> None:
         **({"class_names": list(dataset.class_names)} if dataset.class_names else {}),
         **dataset.manifest,
     }
-    write_json(_manifest_path(path), manifest)
+    write_json(path.with_suffix(".manifest.json"), manifest)
 
 
 def load_csv(path) -> Dataset:
@@ -321,8 +321,12 @@ def load_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: line {header_no}: header must be 'label,h_0,...', "
                               f"got {header_line[:60]!r}")
     n_cells = len(header) - 1
-    samples = []
-    for lineno, line in rows:
+    if not rows:
+        raise DataFormatError(f"{path}: no samples")
+    # rows up to the first of the wrong width, so the arrays stay within 8 bytes a character
+    n_fit = next((i for i, (_, line) in enumerate(rows) if line.count(",") != n_cells), len(rows))
+    amps, labels = np.empty((n_fit, n_cells)), np.empty(n_fit, dtype=np.int64)
+    for i, (lineno, line) in enumerate(rows):
         fields = line.split(",")
         if len(fields) != n_cells + 1:
             raise DataFormatError(
@@ -330,29 +334,26 @@ def load_csv(path) -> Dataset:
             )
         try:
             label = int(fields[0])
-            # HrrpSample's own checks (finite, nonnegative amplitudes) raise ValueError subclasses
-            sample = HrrpSample(np.array([float(v) for v in fields[1:]], dtype=np.float64), label)
+            amps[i] = [float(v) for v in fields[1:]]
+            _check_amplitudes(amps[i])  # raises ConfigError, a ValueError like int's and float's
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if label < 0:
             raise DataFormatError(f"{path}: line {lineno}: negative label {label}")
-        samples.append(sample)
-    if not samples:
-        raise DataFormatError(f"{path}: no samples")
+        if label > np.iinfo(np.int64).max:
+            raise DataFormatError(f"{path}: line {lineno}: label {label} does not fit in int64")
+        labels[i] = label
 
-    manifest_file = _manifest_path(path)
+    manifest_file = path.with_suffix(".manifest.json")
     manifest = (read_json(manifest_file, "manifest") if manifest_file.exists()
                 else {"source": str(path)})
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_file}: manifest must be a JSON object")
-    if "n_cells" in manifest and (
-        type(manifest["n_cells"]) is not int or manifest["n_cells"] != n_cells
-    ):
-        raise DataFormatError(
-            f"{manifest_file}: n_cells must equal the header's {n_cells} cells, "
-            f"got {manifest['n_cells']!r}"
-        )
-    max_label = max(s.label for s in samples)
+    declared = manifest.get("n_cells", n_cells)
+    if type(declared) is not int or declared != n_cells:
+        raise DataFormatError(f"{manifest_file}: n_cells must equal the header's {n_cells} cells, "
+                              f"got {declared!r}")
+    max_label = int(labels.max())
     n_classes = manifest.get("n_classes", max_label + 1)
     if type(n_classes) is not int or n_classes <= max_label:
         raise DataFormatError(
@@ -365,7 +366,7 @@ def load_csv(path) -> Dataset:
             and all(isinstance(name, str) for name in class_names)):
         raise DataFormatError(f"{manifest_file}: class_names must be a list of {n_classes} strings")
     extra = {k: v for k, v in manifest.items() if k not in ("n_cells", "n_classes", "class_names")}
-    return Dataset(samples, n_cells, n_classes, class_names, extra)
+    return Dataset(amps, labels, n_classes, class_names, extra)
 
 
 # -- class-spec serialization -------------------------------------------------
@@ -402,8 +403,7 @@ def class_spec_from_dict(d: dict) -> SynthClassSpec:
 
 
 def save_class_specs(specs: list[SynthClassSpec], path) -> None:
-    payload = {"classes": [class_spec_to_dict(s) for s in specs]}
-    write_json(path, payload)
+    write_json(path, {"classes": [class_spec_to_dict(s) for s in specs]})
 
 
 def load_class_specs(path) -> list[SynthClassSpec]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_int
 from .errors import ConfigError, ShapeError, UsageError
 from .graphgen import reciprocal_distance
 from .numerics import softmax
@@ -102,8 +103,8 @@ class Conv1d(_Layer):
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        self.in_channels = in_channels = check_int("in_channels", in_channels, 1)
+        self.out_channels = out_channels = check_int("out_channels", out_channels, 1)
         self._params(kernels=uniform_init(
             rng, (out_channels, in_channels, KERNEL_WIDTH), in_channels * KERNEL_WIDTH))
 
@@ -174,7 +175,7 @@ class BatchNorm1d(_Layer):
     BUFFERS = ("running_mean", "running_var")
 
     def __init__(self, channels: int):
-        self.channels = channels
+        self.channels = channels = check_int("channels", channels, 1)
         self._params(gamma=np.ones(channels), beta=np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
@@ -250,9 +251,9 @@ class GraphConv(_Layer):
 
     def __init__(self, in_dim: int, out_dim: int, n_nodes: int, rng: np.random.Generator,
                  attention: bool = False):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.n_nodes = n_nodes
+        self.in_dim = in_dim = check_int("in_dim", in_dim, 1)
+        self.out_dim = out_dim = check_int("out_dim", out_dim, 1)
+        self.n_nodes = n_nodes = check_int("n_nodes", n_nodes, 1)
         self.recip = reciprocal_distance(n_nodes)
         self._params(w1=uniform_init(rng, (out_dim, in_dim), in_dim),
                      w2=uniform_init(rng, (out_dim, in_dim), in_dim),
@@ -345,7 +346,7 @@ class AttentionPool(_Layer):
     alpha = None
 
     def __init__(self, feature_dim: int, rng: np.random.Generator):
-        self.feature_dim = feature_dim
+        self.feature_dim = feature_dim = check_int("feature_dim", feature_dim, 1)
         self._params(w=uniform_init(rng, feature_dim, feature_dim))
 
     def forward(self, nodes) -> np.ndarray:
@@ -384,7 +385,8 @@ class Dense(_Layer):
     """Affine map W v + b from a pooled feature vector to class logits."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.in_dim = in_dim
+        self.in_dim = in_dim = check_int("in_dim", in_dim, 1)
+        out_dim = check_int("out_dim", out_dim, 1)
         self._params(w=uniform_init(rng, (out_dim, in_dim), in_dim), b=np.zeros(out_dim))
 
     def forward(self, v) -> np.ndarray:

@@ -95,7 +95,7 @@ def check_fits(config: ModelConfig, *named: tuple[str, Dataset | None]) -> None:
 def _eval_chunks(model: GraphClassifier, dataset: Dataset):
     """(eval-mode log-probabilities, labels) for each ``EVAL_CHUNK`` rows of a fitting dataset."""
     check_fits(model.config, ("dataset", dataset))
-    amps, labels = dataset.amplitude_matrix(), dataset.labels()
+    amps, labels = dataset.amplitudes, dataset.label_ids
     for i in range(0, len(dataset), EVAL_CHUNK):
         yield model.forward_batch(amps[i : i + EVAL_CHUNK], training=False), labels[i : i + EVAL_CHUNK]
 
@@ -131,7 +131,7 @@ def train(
     training was, "epoch E" or, inside a step, "epoch E, step S".
     """
     check_fits(model.config, ("training set", dataset), ("validation set", val_dataset))
-    amps, labels = dataset.amplitude_matrix(), dataset.labels()
+    amps, labels = dataset.amplitudes, dataset.label_ids
     log = []
 
     def log_row(row):

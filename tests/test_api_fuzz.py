@@ -7,15 +7,17 @@ integers as Python or numpy integers, and the same small values as floats,
 strings and numpy bools. The other arguments stay valid. A value the integer
 rule refuses (a bool, a non-integer, or an integer below the minimum) must raise
 an ``HrrpGnnError`` carrying the rule's one wording. A legal value must either
-be stored as a plain ``int`` or raise an ``HrrpGnnError`` whose subject, the
-text before its first " must ", names the argument (a count too large to
-allocate, or a size the samples do not have).
+be stored as a plain ``int`` (``Dense`` keeps ``out_dim`` only as a weight
+shape) or raise an ``HrrpGnnError`` whose subject, the text before its first
+" must ", names the argument (a count too large to allocate).
 
 Accepted values that would make a call run long are only constructed: configs
 are built but never trained or turned into a model. As a count or size, 2**70
 reaches ``synth_generate`` and ``make_benchmark`` only because their allocation
-guard refuses it before allocating anything, and ``Dataset`` only because no
-sample has that length.
+guard refuses it before allocating anything, and ``Dataset`` only as a class
+count. The layer constructors allocate their weights at once, so they are not
+given 2**70. ``Dataset``'s cell count is its amplitude array's width, not an
+argument; ``test_data`` checks it.
 """
 
 import random
@@ -28,7 +30,7 @@ from test_cli_fuzz import REPLACEMENTS
 from hrrpgnn.data import Dataset, make_benchmark, synth_generate, toy_two_class_specs
 from hrrpgnn.errors import HrrpGnnError
 from hrrpgnn.gradcheck import check_layer, check_model, layer_suite
-from hrrpgnn.layers import Dense
+from hrrpgnn.layers import AttentionPool, BatchNorm1d, Conv1d, Dense, GraphConv
 from hrrpgnn.model import ModelConfig
 from hrrpgnn.trainkit import TrainConfig, run_ablation_suite
 
@@ -63,9 +65,26 @@ def _make_benchmark(name, value):
 
 
 def _dataset(name, value):
-    sizes = {"n_cells": BASE.n_cells, "n_classes": BASE.n_classes}
-    ds = Dataset(BASE.samples, class_names=list(BASE.class_names), **{**sizes, name: value})
-    return getattr(ds, name)
+    return Dataset(BASE.amplitudes, BASE.label_ids, value, list(BASE.class_names)).n_classes
+
+
+# each layer's size arguments, with valid values
+_LAYERS = {
+    Conv1d: {"in_channels": 2, "out_channels": 2},
+    BatchNorm1d: {"channels": 2},
+    GraphConv: {"in_dim": 2, "out_dim": 2, "n_nodes": 3},
+    AttentionPool: {"feature_dim": 2},
+    Dense: {"in_dim": 2, "out_dim": 2},
+}
+
+
+def _layer(cls):
+    def build(name, value):
+        rng = {} if cls is BatchNorm1d else {"rng": np.random.default_rng(0)}
+        # Dense holds out_dim only as its weights' shape
+        return getattr(cls(**{**_LAYERS[cls], name: value}, **rng), name, None)
+
+    return build
 
 
 def _ablation_seed(name, value):
@@ -101,7 +120,9 @@ TARGETS = {
     **{f"make_benchmark.{name}": (_make_benchmark, name, name, minimum)
        for name, minimum in [("per_class", 1), ("test_per_class", 1), ("n_cells", 3),
                              ("seed", 0)]},
-    **{f"Dataset.{name}": (_dataset, name, name, 1) for name in ("n_cells", "n_classes")},
+    "Dataset.n_classes": (_dataset, "n_classes", "n_classes", 1),
+    **{f"{cls.__name__}.{name}": (_layer(cls), name, name, 1)
+       for cls, sizes in _LAYERS.items() for name in sizes},
     "run_ablation_suite.seeds": (_ablation_seed, "seeds", "seeds[0]", 0),
     "layer_suite.seed": (_layer_suite_seed, "seed", "seed", 0),
     "check_layer.seed": (_check_layer_seed, "seed", "seed", 0),
@@ -122,7 +143,12 @@ def _drawn(rnd: random.Random, minimum: int) -> list:
 @pytest.mark.parametrize("target", sorted(TARGETS))
 def test_every_integer_argument_keeps_the_rule(target):
     call, name, label, minimum = TARGETS[target]
-    for value in [*REPLACEMENTS, *_drawn(random.Random(target), minimum)]:
+    values = [*REPLACEMENTS, *_drawn(random.Random(target), minimum)]
+    # a layer draws its weights when built, with no allocation guard: ModelConfig's refuses
+    # such a size before any layer is built
+    if target.split(".")[0] in {cls.__name__ for cls in _LAYERS}:
+        values.remove(2**70)
+    for value in values:
         legal = ((type(value) is int or isinstance(value, np.integer)) and value >= minimum
                  or value is None and target == "make_benchmark.test_per_class")
         try:

@@ -423,6 +423,10 @@ MALFORMED = {
     "empty-csv": (None, _empty_csv, 3, "data.csv: empty file"),
     "negative-label-in-csv": (
         None, _csv([(0, "0.5"), (-1, "0.5")]), 3, "data.csv: line 3: negative label -1"),
+    # an int64 label array cannot hold it: refused at its line, not two commands later
+    "label-2**70-in-csv": (
+        None, _csv([(0, "0.5"), (2**70, "0.5")]), 3,
+        "data.csv: line 3: label 1180591620717411303424 does not fit in int64"),
     "nan-in-csv": (None, _csv([(0, "0.5"), (1, "nan")]), 3, "line 3"),
     "negative-amplitude-in-csv": (None, _csv([(0, "0.5"), (1, "-0.5")]), 3, "line 3"),
     "manifest-string-n-classes": (

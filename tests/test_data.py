@@ -5,7 +5,6 @@ import pytest
 
 from hrrpgnn.data import (
     Dataset,
-    HrrpSample,
     ScattererSpec,
     SynthClassSpec,
     default_three_class_specs,
@@ -90,12 +89,22 @@ def test_synth_generate_stores_numpy_integers_as_int_and_saves_them(tmp_path):
 
 
 @pytest.mark.parametrize("n_cells, n_classes, field", [
-    (16.0, 2, "n_cells"), (True, 2, "n_cells"), (16, True, "n_classes"), (16, 2.0, "n_classes"),
-    (0, 2, "n_cells"), (16, np.int64(0), "n_classes")])
+    (16, None, "n_classes"), (16, "2", "n_classes"), (16, True, "n_classes"),
+    (16, 2.0, "n_classes"), (0, 2, "n_cells"), (16, np.int64(0), "n_classes")])
 def test_dataset_rejects_a_size_that_is_not_an_integer(n_cells, n_classes, field):
-    samples = synth_generate(two_specs(), per_class=1, n_cells=16, seed=0).samples
+    ds = synth_generate(two_specs(), per_class=1, n_cells=16, seed=0)
     with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= 1, got "):
-        Dataset(samples, n_cells, n_classes, [])
+        Dataset(ds.amplitudes[:, :n_cells], ds.label_ids, n_classes, [])
+
+
+def test_dataset_takes_n_cells_from_its_array():
+    """The cell count is the amplitude array's width, so no other value can be given for it."""
+    ds = synth_generate(two_specs(), per_class=1, n_cells=16, seed=0)
+    assert type(ds.n_cells) is int and ds.n_cells == ds.amplitudes.shape[1] == 16
+    with pytest.raises(TypeError, match="n_cells"):
+        Dataset(ds.amplitudes, ds.label_ids, 2, [], n_cells=16.0)
+    with pytest.raises(ConfigError, match=r"^n_cells must be an integer >= 1, got 0$"):
+        Dataset(np.empty((2, 0)), ds.label_ids, 2, [])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -197,30 +206,30 @@ def test_synth_generate_matches_the_per_sample_formula_bit_for_bit(n_cells):
 
 
 def test_normalize_max_abs_example():
-    ds = Dataset([_sample([2.0, 4.0, 8.0], 0)], 3, 1, ["a"])
+    ds = _one([2.0, 4.0, 8.0])
     out = normalize(ds, "max_abs")
     np.testing.assert_allclose(out.samples[0].amplitudes, [0.25, 0.5, 1.0], atol=1e-15)
 
 
 def test_normalize_l2_example():
-    ds = Dataset([_sample([3.0, 4.0, 0.0], 0)], 3, 1, ["a"])
+    ds = _one([3.0, 4.0, 0.0])
     out = normalize(ds, "l2")
     np.testing.assert_allclose(out.samples[0].amplitudes, [0.6, 0.8, 0.0], atol=1e-15)
     # a profile whose norm is below 1 is scaled up to unit norm too
-    out = normalize(Dataset([_sample([0.3, 0.4, 0.0], 0)], 3, 1, ["a"]), "l2")
+    out = normalize(_one([0.3, 0.4, 0.0]), "l2")
     np.testing.assert_allclose(out.samples[0].amplitudes, [0.6, 0.8, 0.0], atol=1e-15)
 
 
 def test_normalize_max_abs_scales_a_faint_profile_to_peak_one():
     """Only an all-zero profile is left unscaled, however small another's peak is."""
     amps = np.array([1e-4, 5e-4, 2.5e-4])
-    out = normalize(Dataset([_sample(amps, 0)], 3, 1, ["a"]), "max_abs").samples[0].amplitudes
+    out = normalize(_one(amps), "max_abs").samples[0].amplitudes
     np.testing.assert_array_equal(out, amps / 5e-4)
     assert out.max() == 1.0
 
 
 def test_normalize_none_and_zero_sample_passthrough():
-    ds = Dataset([_sample([0.0, 0.0, 0.0], 0)], 3, 1, ["a"])
+    ds = _one([0.0, 0.0, 0.0])
     for mode in ("max_abs", "l2", "none"):
         out = normalize(ds, mode)
         np.testing.assert_array_equal(out.samples[0].amplitudes, [0.0, 0.0, 0.0])
@@ -228,7 +237,8 @@ def test_normalize_none_and_zero_sample_passthrough():
 
 def test_normalize_matches_the_per_row_formulas_bit_for_bit():
     ds = synth_generate(default_three_class_specs(128), per_class=100, n_cells=128, seed=0)
-    ds = Dataset([*ds.samples, _sample(np.zeros(128), 0)], 128, 3, ds.class_names)
+    ds = Dataset(np.vstack([ds.amplitudes, np.zeros(128)]), np.append(ds.label_ids, 0), 3,
+                 ds.class_names)
     formulas = {"max_abs": lambda h: h / h.max(), "l2": lambda h: h / np.linalg.norm(h),
                 "none": lambda h: h}
     for mode, formula in formulas.items():
@@ -239,43 +249,89 @@ def test_normalize_matches_the_per_row_formulas_bit_for_bit():
 
 
 def test_normalize_unknown_mode():
-    ds = Dataset([_sample([1.0, 2.0, 3.0], 0)], 3, 1, ["a"])
+    ds = _one([1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
         normalize(ds, "zscore")
 
 
-def _sample(values, label):
-    return HrrpSample(np.array(values, dtype=np.float64), label)
+def test_normalize_leaves_its_input_unchanged():
+    ds = synth_generate(two_specs(), per_class=3, n_cells=16, seed=0)
+    before = ds.amplitudes.copy()
+    for mode in ("max_abs", "l2", "none"):
+        out = normalize(ds, mode)
+        assert out.amplitudes is not ds.amplitudes
+        np.testing.assert_array_equal(ds.amplitudes, before)
+        assert ds.manifest["normalization"] == "none"
+
+
+def _one(values, label=0, n_classes=1, class_names=("a",)):
+    """A dataset of the one profile ``values``."""
+    return Dataset(np.array([values], dtype=np.float64), [label], n_classes, list(class_names))
 
 
 def test_sample_validation():
     with pytest.raises(ShapeError):
-        HrrpSample(np.zeros((2, 2)), label=0)
-    with pytest.raises(ConfigError, match="nonnegative"):
-        HrrpSample(np.array([0.5, -0.5]), label=0)
-    HrrpSample(np.array([0.5, -0.0]), label=0)  # negative zero is still zero
+        Dataset(np.zeros(2), [0, 0], 1, [])  # one profile, not a (1, n_cells) matrix
+    with pytest.raises(ShapeError):
+        Dataset(np.zeros((2, 2, 2)), [0, 0], 1, [])
+    with pytest.raises(ConfigError, match="^amplitudes must be nonnegative, got -0.5$"):
+        _one([0.5, -0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="^amplitudes must be finite$"):
+            _one([0.5, bad])
+    _one([0.5, -0.0])  # negative zero is still zero
+
+
+def test_dataset_rows_are_the_samples():
+    """``samples`` views the stored rows, and ``amplitude_matrix``/``labels`` are the arrays."""
+    ds = synth_generate(two_specs(), per_class=2, n_cells=16, seed=0)
+    assert ds.amplitude_matrix() is ds.amplitudes and ds.labels() is ds.label_ids
+    assert [s.label for s in ds.samples] == [0, 0, 1, 1]
+    ds.samples[0].amplitudes[0] = 7.5
+    assert ds.amplitude_matrix()[0, 0] == 7.5
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+def test_dataset_stores_integer_labels_as_int64(dtype):
+    ds = _one([1.0, 2.0, 3.0], label=dtype(1), n_classes=2, class_names=())
+    assert ds.label_ids.dtype == np.int64 and ds.label_ids.tolist() == [1]
+
+
+@pytest.mark.parametrize("labels", [[True], [0.0], np.array([0.5])], ids=["bool", "float", "half"])
+def test_dataset_refuses_labels_that_are_not_integers(labels):
+    with pytest.raises(ConfigError, match=r"^label_ids must be integers in \[0, 2\), got "):
+        Dataset(np.ones((1, 3)), labels, 2, [])
+
+
+def test_dataset_refuses_an_unsigned_label_beyond_int64():
+    """int64 would wrap 2**63 to a negative label, however many classes are declared."""
+    labels = np.array([2**63], dtype=np.uint64)
+    with pytest.raises(ConfigError, match=rf"^label_ids must be integers in \[0, {2**63}\), "
+                                          rf"got uint64 from {2**63} to {2**63}$"):
+        Dataset(np.ones((1, 3)), labels, 2**70, [])
+    assert Dataset(np.ones((1, 3)), labels - 1, 2**70, []).label_ids.tolist() == [2**63 - 1]
 
 
 # ---- dataset invariants ------------------------------------------------------------
 
-# (samples, n_cells, n_classes, class_names, error): each is a dataset save_csv
+# (amplitudes, label_ids, n_classes, class_names, error): each is a dataset save_csv
 # would write and load_csv would refuse to read back, or one evaluate cannot score
 INVALID_DATASETS = {
-    "no-samples": ([], 3, 1, ["a"], ConfigError),
-    "short-sample": ([_sample([1.0, 2.0, 3.0], 0)], 5, 1, ["a"], ShapeError),
-    "ragged-samples": ([_sample([1.0, 2.0, 3.0], 0), _sample([1.0, 2.0], 0)], 3, 1, ["a"],
-                       ShapeError),
-    "label-above-classes": ([_sample([1.0, 2.0, 3.0], 7)], 3, 2, ["a", "b"], ConfigError),
-    "negative-label": ([_sample([1.0, 2.0, 3.0], -1)], 3, 2, ["a", "b"], ConfigError),
-    "too-few-class-names": ([_sample([1.0, 2.0, 3.0], 0)], 3, 2, ["a"], ConfigError),
+    "no-samples": (np.empty((0, 3)), np.empty(0, dtype=np.int64), 1, ["a"], ConfigError),
+    "short-sample": (np.array([1.0, 2.0, 3.0]), [0], 1, ["a"], ShapeError),
+    # two rows but one label: the rows and labels do not pair up
+    "ragged-samples": (np.ones((2, 3)), [0], 1, ["a"], ShapeError),
+    "label-above-classes": (np.ones((1, 3)), [7], 2, ["a", "b"], ConfigError),
+    "negative-label": (np.ones((1, 3)), [-1], 2, ["a", "b"], ConfigError),
+    "too-few-class-names": (np.ones((1, 3)), [0], 2, ["a"], ConfigError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_DATASETS))
 def test_dataset_rejects_what_load_csv_would(case):
-    samples, n_cells, n_classes, class_names, error = INVALID_DATASETS[case]
+    amplitudes, label_ids, n_classes, class_names, error = INVALID_DATASETS[case]
     with pytest.raises(error):
-        Dataset(samples, n_cells, n_classes, class_names)
+        Dataset(amplitudes, label_ids, n_classes, class_names)
 
 
 # ---- CSV round trip ----------------------------------------------------------------
@@ -293,7 +349,7 @@ def test_csv_roundtrip_bit_exact(tmp_path):
 
 
 def test_csv_header_format(tmp_path):
-    ds = Dataset([_sample([1.0, 2.0, 3.0, 4.0], 0)], 4, 1, ["a"])
+    ds = _one([1.0, 2.0, 3.0, 4.0])
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     first = path.read_text(encoding="utf-8").splitlines()[0]
@@ -333,7 +389,7 @@ def test_load_csv_without_manifest_uses_generic_names(tmp_path):
 
 def test_save_csv_writes_no_generic_names(tmp_path):
     """A dataset without class names round-trips without them."""
-    ds = Dataset([_sample([1.0, 2.0, 3.0], 1)], 3, 2, [])
+    ds = _one([1.0, 2.0, 3.0], label=1, n_classes=2, class_names=())
     save_csv(ds, tmp_path / "data.csv")
     manifest = json.loads((tmp_path / "data.manifest.json").read_text(encoding="utf-8"))
     assert manifest == {"n_cells": 3, "n_classes": 2}
@@ -362,6 +418,32 @@ def test_load_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_csv(path)
+
+
+def test_load_csv_names_the_first_bad_row(tmp_path):
+    """Rows of the wrong width after a bad value do not hide it, and a width error is found
+    in order too, whether the header is wider or narrower than the rows."""
+    path = tmp_path / "bad.csv"
+    path.write_text("label,h_0,h_1\n0,1.0,2.0\n1,oops,2.0\n1\n1,2\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 3: could not convert"):
+        load_csv(path)
+    header = "label," + ",".join(f"h_{i}" for i in range(1000))
+    path.write_text(header + "\n0\n" * 50, encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 2: expected 1001 fields, got 1$"):
+        load_csv(path)
+    path.write_text("label,h_0\n0,1.0\n0,1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 3: expected 2 fields, got 3$"):
+        load_csv(path)
+
+
+def test_load_csv_refuses_a_label_beyond_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    for label in (2**63, 2**70):
+        path.write_text(f"label,h_0\n0,1.0\n{label},1.0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line 3: label {label} does not fit in int64$"):
+            load_csv(path)
+    path.write_text(f"label,h_0\n{2**63 - 1},1.0\n", encoding="utf-8")
+    assert load_csv(path).label_ids.tolist() == [2**63 - 1]
 
 
 def test_load_csv_rejects_inconsistent_manifest(tmp_path):

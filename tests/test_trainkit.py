@@ -174,11 +174,16 @@ def test_shuffle_seed_changes_batch_order(toy_benchmark):
     assert log_a[-1]["train_loss"] != log_b[-1]["train_loss"]
 
 
+def _head(ds, n):
+    """The first ``n`` samples of ``ds``."""
+    return replace(ds, amplitudes=ds.amplitudes[:n], label_ids=ds.label_ids[:n])
+
+
 def test_trailing_singleton_batch_steps_alone(monkeypatch):
     """33 samples at batch 16 train in batches of 16, 16 and 1: the last sample steps alone."""
     specs = toy_two_class_specs(16)
     ds = synth_generate(specs, per_class=17, n_cells=16, seed=0)
-    ds.samples = ds.samples[:33]
+    ds = _head(ds, 33)
     model = tiny_model(n_cells=16)
     forward, sizes = model.forward_batch, []
 
@@ -208,7 +213,7 @@ def test_every_row_trains_on_batches_and_datasets_of_one(flags):
     """Only BatchNorm sets a minimum, and one profile's cells meet it: every row trains
     at batch_size 1 and on a one-sample dataset with finite losses."""
     ds = synth_generate(toy_two_class_specs(16), per_class=2, n_cells=16, seed=0)
-    one = replace(ds, samples=ds.samples[:1])
+    one = _head(ds, 1)
     for data, config in ((ds, TrainConfig(epochs=2, batch_size=1)),
                          (one, TrainConfig(epochs=2, batch_size=4))):
         log = train(tiny_model(n_cells=16, ablation=flags), data, config)
@@ -446,7 +451,7 @@ def test_evaluate_and_dataset_loss_count_every_sample(n_samples):
     """One sample past a multiple of 256, or one sample alone, is evaluated like any
     other: both equal an eval-mode pass over each sample on its own."""
     ds = synth_generate(toy_two_class_specs(16), per_class=129, n_cells=16, seed=0)
-    ds = replace(ds, samples=ds.samples[:n_samples])
+    ds = _head(ds, n_samples)
     model = tiny_model(n_cells=16)
     labels = ds.labels()
     log_probs = [model.forward_batch(s.amplitudes[None, :], training=False) for s in ds.samples]
