@@ -17,7 +17,8 @@ reaches ``synth_generate`` and ``make_benchmark`` only because their allocation
 guard refuses it before allocating anything, and ``Dataset`` only as a class
 count. The layer constructors allocate their weights at once, so they are not
 given 2**70. ``Dataset``'s cell count is its amplitude array's width, not an
-argument; ``test_data`` checks it.
+argument: every value offered for it is refused by name, and each integer width
+from 0 to ``BASE``'s is given as a slice of ``BASE``'s array instead.
 """
 
 import random
@@ -66,6 +67,20 @@ def _make_benchmark(name, value):
 
 def _dataset(name, value):
     return Dataset(BASE.amplitudes, BASE.label_ids, value, list(BASE.class_names)).n_classes
+
+
+def _dataset_width(value):
+    with pytest.raises(TypeError, match="n_cells"):
+        Dataset(BASE.amplitudes, BASE.label_ids, 2, [], n_cells=value)
+    if not ((type(value) is int or isinstance(value, np.integer)) and 0 <= value <= BASE.n_cells):
+        return
+    try:
+        stored = Dataset(BASE.amplitudes[:, :value], BASE.label_ids, 2, []).n_cells
+    except HrrpGnnError as exc:
+        assert value == 0 and str(exc) == "n_cells must be an integer >= 1, got 0", \
+            f"width {value!r}: {exc}"
+    else:
+        assert value >= 1 and type(stored) is int and stored == value, f"width {value!r}: {stored!r}"
 
 
 # each layer's size arguments, with valid values
@@ -140,8 +155,12 @@ def _drawn(rnd: random.Random, minimum: int) -> list:
     return values
 
 
-@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("target", sorted([*TARGETS, "Dataset.n_cells"]))
 def test_every_integer_argument_keeps_the_rule(target):
+    if target == "Dataset.n_cells":
+        for value in [*REPLACEMENTS, *_drawn(random.Random(target), 1)]:
+            _dataset_width(value)
+        return
     call, name, label, minimum = TARGETS[target]
     values = [*REPLACEMENTS, *_drawn(random.Random(target), minimum)]
     # a layer draws its weights when built, with no allocation guard: ModelConfig's refuses
